@@ -82,10 +82,12 @@ std::unique_ptr<EngineTransport> EngineHub::make_endpoint(
   // coalesced frame would otherwise allocate its batch list lazily — a
   // decaying-tail allocation the steady-state zero-alloc guarantee (and
   // its counting test) forbids.  Two entries cover concurrent open
-  // instants under the in-tree latency models.
+  // instants on fixed links; jitter spreads frames over more, so
+  // send_from widens the list (and sizes the clamp list) on a
+  // destination's first jittered frame.
   batches_.emplace_back().reserve(2);
   names_.push_back(address);
-  clamp_keys_.emplace_back();
+  clamps_.emplace_back();
   by_name_.emplace(address, id);
   return ep;
 }
@@ -117,7 +119,7 @@ std::size_t EngineHub::approx_bytes() const {
                   marks_.capacity() * sizeof(OpenMarks) +
                   batches_.capacity() * sizeof(std::vector<Batch>) +
                   names_.capacity() * sizeof(net::Address) +
-                  clamp_keys_.capacity() * sizeof(std::vector<std::uint64_t>) +
+                  clamps_.capacity() * sizeof(std::vector<ClampEntry>) +
                   pool_.capacity() * sizeof(std::vector<std::uint8_t>) +
                   frame_pool_.capacity() * sizeof(std::vector<PendingFrame>);
   for (const auto& name : names_)
@@ -128,14 +130,12 @@ std::size_t EngineHub::approx_bytes() const {
     for (const auto& batch : batch_list)
       b += batch.frames.capacity() * sizeof(PendingFrame);
   }
-  for (const auto& keys : clamp_keys_)
-    b += keys.capacity() * sizeof(std::uint64_t);
-  // Hash tables: node + bucket estimate per entry (implementation detail,
+  for (const auto& clamp : clamps_)
+    b += clamp.capacity() * sizeof(ClampEntry);
+  // Hash table: node + bucket estimate per entry (implementation detail,
   // but stable enough for an audit line).
   b += by_name_.size() * (sizeof(net::Address) + sizeof(net::EndpointId) +
                           3 * sizeof(void*));
-  b += fifo_clamp_.size() * (sizeof(std::uint64_t) + sizeof(SimTime) +
-                             3 * sizeof(void*));
   for (const auto& buf : pool_) b += buf.capacity();
   for (const auto& frames : frame_pool_)
     b += frames.capacity() * sizeof(PendingFrame);
@@ -146,14 +146,10 @@ void EngineHub::unregister(net::EndpointId id) {
   if (id >= transports_.size() || transports_[id] == nullptr) return;
   transports_[id] = nullptr;
   by_name_.erase(names_[id]);
-  // Drop the dead endpoint's FIFO-clamp entries: it can never send or
-  // receive again, and long churn scenarios would otherwise accumulate
-  // clamp state for every node that ever lived.  The per-endpoint key
-  // index makes this O(degree); the partner's index keeps a stale key,
-  // erased as a cheap no-op when the partner dies.  Open instants stay:
-  // their head events fire, see the dead transport, and discard.
-  for (const std::uint64_t key : clamp_keys_[id]) fifo_clamp_.erase(key);
-  clamp_keys_[id] = {};
+  // A dead endpoint receives nothing more; entries naming it as a sender
+  // in other lists expire on their own.  Open instants stay: their head
+  // events fire, see the dead transport, and discard.
+  clamps_[id] = {};
 }
 
 bool EngineHub::send_from(net::EndpointId from, net::EndpointId to,
@@ -192,16 +188,18 @@ bool EngineHub::send_from(net::EndpointId from, net::EndpointId to,
   if (at < engine_.now()) at = engine_.now();
   if (link_->may_reorder() ||
       (plane_ != nullptr && plane_->may_jitter())) {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(from) << 32) | to;
-    auto [it, inserted] = fifo_clamp_.try_emplace(key, at);
-    if (inserted) {
-      clamp_keys_[from].push_back(key);
-      clamp_keys_[to].push_back(key);
-    } else {
-      if (at < it->second) at = it->second;  // keep per-pair FIFO
-      it->second = at;
+    // Per-pair FIFO.  An entry at or before now cannot move a frame (at >=
+    // now): drop those and `from`'s own, then append its new last delivery.
+    std::vector<ClampEntry>& clamp = clamps_[to];
+    if (clamp.capacity() == 0) {  // `to`'s first jittered frame
+      clamp.reserve(8);
+      batches_[to].reserve(4);  // see make_endpoint
     }
+    std::erase_if(clamp, [&](const ClampEntry& e) {
+      if (e.from == from && at < e.last_at) at = e.last_at;
+      return e.from == from || e.last_at <= engine_.now();
+    });
+    clamp.push_back(ClampEntry{from, at});
   }
   // Reorder jitter lands *after* the FIFO clamp on purpose: breaking
   // per-pair ordering is the entire point of a reorder rule.  The clamp

@@ -14,15 +14,15 @@
 //     endpoint table is flat and the per-send path does no string hashing
 //     or copying (protocol layers cache resolve()d ids);
 //   * each endpoint's hub-side state — transport pointer, name, FIFO-clamp
-//     keys, delivery-batching rendezvous — lives in type-segregated
+//     list, delivery-batching rendezvous — lives in type-segregated
 //     contiguous slabs indexed by EndpointId, split by access pattern so
 //     the per-send hot walk stays inside the two dense tables (transport
 //     pointers, 8 B/endpoint; open-instant marks, 32 B/endpoint) and the
 //     cold per-endpoint tables are only touched by the paths that need
 //     them;
-//   * per-pair FIFO clamps (jittered links only) key on the id pair, and
-//     each endpoint's slot indexes the clamp entries it participates in,
-//     so a crash cleans up in O(degree), not O(table);
+//   * per-pair FIFO clamps (jittered links only) keep, per destination,
+//     just the senders with a frame in flight to it — bounded by the
+//     frames in flight, not by every pair that ever talked;
 //   * same-destination deliveries are batched: the first frame due at a
 //     given (destination, instant) — optionally rounded up to a
 //     `batch_window` boundary, see the constructor — schedules one
@@ -209,6 +209,13 @@ class EngineHub {
     SimTime at[kOpenInline]{};
   };
 
+  /// Last scheduled (pre-rounding, pre-reorder) delivery from `from` to
+  /// the list's destination; dropped once `last_at` has passed.
+  struct ClampEntry {
+    net::EndpointId from;
+    SimTime last_at;
+  };
+
   /// The scheduled head delivery: the instant's first frame, carried
   /// inline.  Sized to exactly fit EventFn's inline storage; the event's
   /// execution time identifies the instant to drain.
@@ -248,26 +255,20 @@ class EngineHub {
   /// per-endpoint record) keeps each path's working set dense: the
   /// per-send dead-endpoint check walks an 8-byte-stride table, the
   /// batching rendezvous a 32-byte-stride one, and the cold tables
-  /// (names, follower batches, clamp keys) are only pulled in by the
+  /// (names, follower batches, clamp lists) are only pulled in by the
   /// paths that need them.
   ///
   /// transports_[id] == nullptr marks a dead endpoint; names_ keeps every
   /// endpoint's address forever (frames in flight from a crashed sender
-  /// still carry its name); clamp_keys_[id] lists the FIFO-clamp entries
-  /// id participates in, so unregister erases exactly its own entries;
-  /// batches_[id] holds id's follower frames per open instant (a handful
-  /// of entries, scanned linearly).
+  /// still carry its name); clamps_[id] and batches_[id] hold the FIFO
+  /// clamps of id's in-flight senders and id's follower frames per open
+  /// instant (a handful of entries each, scanned linearly).
   std::vector<EngineTransport*> transports_;
   std::vector<OpenMarks> marks_;
   std::vector<std::vector<Batch>> batches_;
   std::vector<net::Address> names_;
-  std::vector<std::vector<std::uint64_t>> clamp_keys_;
+  std::vector<std::vector<ClampEntry>> clamps_;
   std::unordered_map<net::Address, net::EndpointId> by_name_;  // live only
-
-  /// Last scheduled (pre-rounding) delivery per (from, to) id pair;
-  /// populated only when the link model can reorder (fixed-latency runs
-  /// keep this empty).
-  std::unordered_map<std::uint64_t, SimTime> fifo_clamp_;
 
   std::vector<std::vector<std::uint8_t>> pool_;
   std::vector<std::vector<PendingFrame>> frame_pool_;

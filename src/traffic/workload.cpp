@@ -113,8 +113,10 @@ void TrafficPlane::step(std::uint32_t slot) {
       r.target,
       [](void* ctx, net::LiveNodeId id) {
         // Dead neighbours answer nothing: the sender's timeout-and-try-
-        // next-candidate collapsed to an instantaneous filter.
-        return !static_cast<engine::EventCluster*>(ctx)->crashed(id);
+        // next-candidate collapsed to an instantaneous filter.  A view
+        // entry planted by a corrupted frame can name no node at all.
+        const auto* fleet = static_cast<const engine::EventCluster*>(ctx);
+        return id < fleet->size() && !fleet->crashed(id);
       },
       &fleet_);
   if (!hop.found || ++r.hops > cfg_.max_hops) {

@@ -239,19 +239,18 @@ TEST(ArenaStability, NoArenaGrowthInSteadyStateAfterChurn) {
 // with an empty data plane, which is exactly the surface the arena
 // rewrite promises is allocation-free.  (The data plane — migration
 // splits, guest unions — allocates by design and is out of scope; see
-// docs/ARCHITECTURE.md.)
-TEST(ZeroAlloc, SteadyStateControlPlaneMakesNoHeapAllocations) {
+// docs/ARCHITECTURE.md.)  Runs such a fleet over links of `lo`-`hi`
+// latency and expects no allocation in the measured rounds.
+void ExpectSteadyStateControlPlaneAllocatesNothing(std::chrono::nanoseconds lo,
+                                                  std::chrono::nanoseconds hi) {
   constexpr std::size_t kNodes = 48;
   constexpr std::size_t kWarmupRounds = 40;
   constexpr std::size_t kMeasuredRounds = 20;
 
   engine::EventEngine engine(5);
-  engine::EngineHub hub(
-      engine,
-      std::make_unique<engine::UniformLatency>(
-          std::chrono::duration_cast<engine::SimTime>(2ms),
-          std::chrono::duration_cast<engine::SimTime>(2ms)),
-      engine::EventEngine::tick_duration());
+  engine::EngineHub hub(engine,
+                        std::make_unique<engine::UniformLatency>(lo, hi),
+                        engine::EventEngine::tick_duration());
   shape::GridTorusShape shape(8, 6);
   util::Arena arena(std::size_t{1} << 20);
   net::AsyncConfig cfg;
@@ -322,6 +321,15 @@ TEST(ZeroAlloc, SteadyStateControlPlaneMakesNoHeapAllocations) {
   // Sanity: the fleet actually gossiped during the window.
   EXPECT_GT(hub.frames_sent(), kNodes * kWarmupRounds);
   for (auto& n : nodes) EXPECT_GT(n->rps_view_size(), 0u);
+}
+
+TEST(ZeroAlloc, SteadyStateControlPlaneMakesNoHeapAllocations) {
+  ExpectSteadyStateControlPlaneAllocatesNothing(2ms, 2ms);
+}
+
+// Jittered links run every send through the hub's per-pair FIFO clamp.
+TEST(ZeroAlloc, SteadyStateOnJitteredLinksMakesNoHeapAllocations) {
+  ExpectSteadyStateControlPlaneAllocatesNothing(1ms, 8ms);
 }
 
 }  // namespace

@@ -193,6 +193,153 @@ TEST(EngineTransport, JitteredLatencyPreservesPerPairFifo) {
   for (std::uint8_t i = 0; i < 50; ++i) EXPECT_EQ(got[i], i);
 }
 
+/// Checks that `got` (payloads {sender, seq}) holds exactly seqs
+/// 0..sent[s]-1 of every sender s, each sender's in sequence order.
+void ExpectPerSenderFifo(const std::vector<std::vector<std::uint8_t>>& got,
+                         const std::vector<std::size_t>& sent) {
+  std::vector<std::size_t> next(sent.size(), 0);
+  for (const auto& p : got) {
+    ASSERT_LT(p.at(0), sent.size());
+    EXPECT_EQ(p.at(1), next[p[0]]) << "sender " << int{p[0]};
+    ++next[p[0]];
+  }
+  EXPECT_EQ(next, sent);
+}
+
+TEST(EngineTransport, InterleavedSendersKeepPerPairFifo) {
+  // Several senders share one destination's clamp list; time advances
+  // between bursts so entries expire and are pruned while others are
+  // still in flight.
+  EventEngine engine(11);
+  EngineHub hub(engine, std::make_unique<UniformLatency>(SimTime{1ms},
+                                                         SimTime{50ms}));
+  auto d = hub.make_endpoint("d");
+  std::vector<std::unique_ptr<poly::engine::EngineTransport>> senders;
+  for (int i = 0; i < 6; ++i)
+    senders.push_back(hub.make_endpoint("s" + std::to_string(i)));
+  std::vector<std::vector<std::uint8_t>> got;
+  d->set_handler([&](poly::net::Message& m) { got.push_back(m.payload); });
+  std::vector<std::size_t> sent(6, 0);
+  for (int step = 0; step < 40; ++step) {
+    for (std::uint8_t s = 0; s < 6; ++s) {
+      if ((step + s) % 3 == 0) continue;  // staggered gaps per sender
+      const auto seq = static_cast<std::uint8_t>(sent[s]++);
+      ASSERT_TRUE(senders[s]->send("d", {s, seq}));
+    }
+    engine.run_until(engine.now() + SimTime{3ms});
+  }
+  engine.run();
+  ExpectPerSenderFifo(got, sent);
+}
+
+/// Hands out a fixed script of latencies, so a test can place a clamp
+/// entry exactly where it wants it.
+class ScriptedLatency final : public poly::engine::LinkModel {
+ public:
+  explicit ScriptedLatency(std::vector<SimTime> script)
+      : script_(std::move(script)) {}
+  SimTime latency(std::size_t, poly::util::Rng&) override {
+    return script_.at(next_++);
+  }
+  bool may_reorder() const noexcept override { return true; }
+
+ private:
+  std::vector<SimTime> script_;
+  std::size_t next_ = 0;
+};
+
+TEST(EngineTransport, SenderResumingAfterItsClampExpiredKeepsFifo) {
+  // a's frame 0 is due at 10 ms.  At 9 ms c's send prunes d's list: a's
+  // entry is still in flight and must survive it, so a's frame 1 (drawn
+  // 0.5 ms) is clamped behind frame 0.  At 20 ms a's entry has expired:
+  // c's send drops it, and a's frame 2 then arrives on its own drawn time.
+  EventEngine engine(1);
+  EngineHub hub(engine, std::make_unique<ScriptedLatency>(std::vector<SimTime>{
+                            10ms, 5ms, 500us, 5ms, 1ms}));
+  auto a = hub.make_endpoint("a");
+  auto c = hub.make_endpoint("c");
+  auto d = hub.make_endpoint("d");
+  std::vector<std::vector<std::uint8_t>> got;
+  std::vector<SimTime> a_times;
+  d->set_handler([&](poly::net::Message& m) {
+    got.push_back(m.payload);
+    if (m.payload[0] == 0) a_times.push_back(engine.now());
+  });
+  ASSERT_TRUE(a->send("d", {0, 0}));  // due 10 ms
+  engine.run_until(SimTime{9ms});
+  ASSERT_TRUE(c->send("d", {1, 0}));  // due 14 ms
+  ASSERT_TRUE(a->send("d", {0, 1}));  // drawn 9.5 ms, clamped to 10 ms
+  engine.run_until(SimTime{20ms});
+  ASSERT_TRUE(c->send("d", {1, 1}));  // due 25 ms
+  ASSERT_TRUE(a->send("d", {0, 2}));  // due 21 ms
+  engine.run();
+  ExpectPerSenderFifo(got, {3, 2});
+  EXPECT_EQ(a_times, (std::vector<SimTime>{10ms, 10ms, 21ms}));
+}
+
+TEST(EngineTransport, ReregisteredDestinationGetsOnlyItsOwnFramesInOrder) {
+  EventEngine engine(9);
+  EngineHub hub(engine, std::make_unique<UniformLatency>(SimTime{1ms},
+                                                         SimTime{50ms}));
+  auto a = hub.make_endpoint("a");
+  auto b = hub.make_endpoint("b");
+  int old_delivered = 0;
+  b->set_handler([&](poly::net::Message&) { ++old_delivered; });
+  for (std::uint8_t i = 0; i < 20; ++i) ASSERT_TRUE(a->send("b", {0, i}));
+  engine.run_until(SimTime{10ms});
+  const int before_crash = old_delivered;
+  b->shutdown();  // frames still in flight to the old b
+  b = hub.make_endpoint("b");
+  std::vector<std::vector<std::uint8_t>> got;
+  b->set_handler([&](poly::net::Message& m) { got.push_back(m.payload); });
+  for (std::uint8_t i = 0; i < 20; ++i) ASSERT_TRUE(a->send("b", {0, i}));
+  engine.run();
+  EXPECT_EQ(old_delivered, before_crash);
+  ExpectPerSenderFifo(got, {20});
+  EXPECT_EQ(hub.frames_delivered(),
+            static_cast<std::uint64_t>(before_crash) + 20u);
+}
+
+TEST(EngineTransport, ClampFootprintStaysBoundedByFramesInFlight) {
+  // 64 endpoints each send one frame per millisecond to a random peer
+  // (one random offset per step, so every destination gets one frame a
+  // step) over 1-3 ms jittered links: at most three frames are ever in
+  // flight to a destination, while the pairs that have talked keep
+  // growing toward all 64 x 63.  The hub's footprint after ten times the
+  // warm-up must not exceed the warm-up figure.  The handler takes each
+  // payload, so the buffer pool (sized by the in-flight high-water) stays
+  // empty and the figure is the endpoint tables plus clamp and batching
+  // state.
+  constexpr std::size_t kEndpoints = 64;
+  EventEngine engine(3);
+  EngineHub hub(engine, std::make_unique<UniformLatency>(SimTime{1ms},
+                                                         SimTime{3ms}));
+  std::vector<std::unique_ptr<poly::engine::EngineTransport>> eps;
+  std::vector<poly::net::EndpointId> ids;
+  for (std::size_t i = 0; i < kEndpoints; ++i) {
+    eps.push_back(hub.make_endpoint("n" + std::to_string(i)));
+    eps.back()->set_handler([](poly::net::Message& m) {
+      std::vector<std::uint8_t> taken = std::move(m.payload);
+    });
+    ids.push_back(eps.back()->endpoint_id());
+  }
+  poly::util::Rng rng(17);
+  auto run_steps = [&](int steps) {
+    for (int t = 0; t < steps; ++t) {
+      const std::size_t offset = 1 + rng.index(kEndpoints - 1);
+      for (std::size_t i = 0; i < kEndpoints; ++i)
+        ASSERT_TRUE(eps[i]->send(ids[(i + offset) % kEndpoints], {1}));
+      engine.run_until(engine.now() + SimTime{1ms});
+    }
+  };
+  run_steps(20);
+  const std::size_t warm = hub.approx_bytes();
+  run_steps(200);
+  engine.run();
+  EXPECT_LE(hub.approx_bytes(), warm);
+  EXPECT_EQ(hub.frames_delivered(), 220u * kEndpoints);
+}
+
 TEST(EngineTransport, SameInstantFramesCoalesceAndKeepSendOrder) {
   // Several senders hit one destination at the same instant: the first
   // frame's head event drains the followers, in global send order.

@@ -14,8 +14,10 @@
 #include "fault/fault_plane.hpp"
 #include "net/messages.hpp"
 #include "net/runtime.hpp"
+#include "shape/grid_torus.hpp"
 #include "shape/ring_shape.hpp"
 #include "space/point.hpp"
+#include "traffic/workload.hpp"
 
 namespace {
 
@@ -212,6 +214,30 @@ TEST(CorruptionHardening, FleetSurvivesTotalCorruption) {
   EXPECT_LE(fleet.frames_rejected(),
             fleet.fault_counters().frames_corrupted);
   EXPECT_EQ(fleet.alive_count(), 16u);
+}
+
+TEST(CorruptionHardening, ServingFleetSurvivesCorruptedViewIds) {
+  // A corrupted frame that still decodes can plant a node id beyond the
+  // fleet in a T-Man view; the traffic plane's alive filter must reject
+  // it instead of indexing past the fleet.
+  poly::shape::GridTorusShape shape(40, 40);
+  EventCluster fleet(shape.space_ptr(), shape.generate(),
+                     EventClusterConfig{}, /*seed=*/1);
+  poly::traffic::TrafficConfig tcfg;
+  tcfg.rate_per_round = 160;
+  fleet.start_traffic(tcfg);
+  fleet.corrupt_frames(0.002, /*heal_rounds=*/0);
+  fleet.run_rounds(20);
+  EXPECT_EQ(fleet.crash_random(fleet.size() / 2), fleet.size() / 2);
+  fleet.run_rounds(30);
+
+  const poly::traffic::TrafficPlane* plane = fleet.traffic_plane();
+  ASSERT_NE(plane, nullptr);
+  const auto& t = plane->totals();
+  EXPECT_GE(t.launched, 50u * 160u);
+  EXPECT_EQ(t.launched, t.completed + t.failed + plane->in_flight());
+  EXPECT_GT(t.completed, 0u);
+  EXPECT_GT(fleet.fault_counters().frames_corrupted, 0u);
 }
 
 // ---- stalls -----------------------------------------------------------------

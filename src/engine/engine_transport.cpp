@@ -1,15 +1,15 @@
 #include "engine/engine_transport.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace poly::engine {
 
 // ---- EngineTransport --------------------------------------------------------
 
-EngineTransport::EngineTransport(EngineHub* hub, net::Address address,
-                                 net::EndpointId id)
-    : hub_(hub), address_(std::move(address)), id_(id) {}
+EngineTransport::EngineTransport(EngineHub* hub, EndpointId id)
+    : hub_(hub), id_(id) {}
 
 EngineTransport::~EngineTransport() { shutdown(); }
 
@@ -17,20 +17,10 @@ void EngineTransport::set_handler(net::MessageHandler handler) {
   handler_ = std::move(handler);
 }
 
-bool EngineTransport::send(const net::Address& to,
+bool EngineTransport::send(net::LiveNodeId to,
                            std::vector<std::uint8_t> payload) {
   if (stopped_) return false;
-  return hub_->send_from(id_, hub_->resolve(to), std::move(payload));
-}
-
-bool EngineTransport::send(net::EndpointId to,
-                           std::vector<std::uint8_t> payload) {
-  if (stopped_) return false;
-  return hub_->send_from(id_, to, std::move(payload));
-}
-
-net::EndpointId EngineTransport::resolve(const net::Address& to) const {
-  return hub_->resolve(to);
+  return hub_->send_from(id_, hub_->endpoint_of(to), std::move(payload));
 }
 
 std::vector<std::uint8_t> EngineTransport::acquire_buffer() {
@@ -69,13 +59,14 @@ EngineHub::EngineHub(EventEngine& engine, std::unique_ptr<LinkModel> link,
 }
 
 std::unique_ptr<EngineTransport> EngineHub::make_endpoint(
-    const net::Address& address) {
+    net::LiveNodeId node) {
   thread_check_.check("EngineHub::make_endpoint");
-  if (by_name_.count(address))
-    throw std::invalid_argument("EngineHub: duplicate address " + address);
-  const auto id = static_cast<net::EndpointId>(transports_.size());
-  auto ep = std::unique_ptr<EngineTransport>(
-      new EngineTransport(this, address, id));
+  const EndpointId live = endpoint_of(node);
+  if (live != kInvalidEndpointId && transports_[live] != nullptr)
+    throw std::invalid_argument("EngineHub: node " + std::to_string(node) +
+                                " already has a live endpoint");
+  const auto id = static_cast<EndpointId>(transports_.size());
+  auto ep = std::unique_ptr<EngineTransport>(new EngineTransport(this, id));
   transports_.push_back(ep.get());
   marks_.emplace_back();
   // Reserve the batching rendezvous up front: a destination's first
@@ -86,19 +77,11 @@ std::unique_ptr<EngineTransport> EngineHub::make_endpoint(
   // send_from widens the list (and sizes the clamp list) on a
   // destination's first jittered frame.
   batches_.emplace_back().reserve(2);
-  names_.push_back(address);
   clamps_.emplace_back();
-  by_name_.emplace(address, id);
+  if (node >= by_node_.size())
+    by_node_.resize(node + 1, kInvalidEndpointId);
+  by_node_[node] = id;
   return ep;
-}
-
-bool EngineHub::reachable(const net::Address& address) const {
-  return by_name_.count(address) > 0;
-}
-
-net::EndpointId EngineHub::resolve(const net::Address& address) const {
-  const auto it = by_name_.find(address);
-  return it == by_name_.end() ? net::kInvalidEndpointId : it->second;
 }
 
 std::vector<std::uint8_t> EngineHub::acquire_buffer() {
@@ -118,13 +101,10 @@ std::size_t EngineHub::approx_bytes() const {
   std::size_t b = transports_.capacity() * sizeof(EngineTransport*) +
                   marks_.capacity() * sizeof(OpenMarks) +
                   batches_.capacity() * sizeof(std::vector<Batch>) +
-                  names_.capacity() * sizeof(net::Address) +
                   clamps_.capacity() * sizeof(std::vector<ClampEntry>) +
+                  by_node_.capacity() * sizeof(EndpointId) +
                   pool_.capacity() * sizeof(std::vector<std::uint8_t>) +
                   frame_pool_.capacity() * sizeof(std::vector<PendingFrame>);
-  for (const auto& name : names_)
-    if (name.capacity() > sizeof(net::Address))  // beyond SSO
-      b += name.capacity();
   for (const auto& batch_list : batches_) {
     b += batch_list.capacity() * sizeof(Batch);
     for (const auto& batch : batch_list)
@@ -132,27 +112,22 @@ std::size_t EngineHub::approx_bytes() const {
   }
   for (const auto& clamp : clamps_)
     b += clamp.capacity() * sizeof(ClampEntry);
-  // Hash table: node + bucket estimate per entry (implementation detail,
-  // but stable enough for an audit line).
-  b += by_name_.size() * (sizeof(net::Address) + sizeof(net::EndpointId) +
-                          3 * sizeof(void*));
   for (const auto& buf : pool_) b += buf.capacity();
   for (const auto& frames : frame_pool_)
     b += frames.capacity() * sizeof(PendingFrame);
   return b;
 }
 
-void EngineHub::unregister(net::EndpointId id) {
+void EngineHub::unregister(EndpointId id) {
   if (id >= transports_.size() || transports_[id] == nullptr) return;
   transports_[id] = nullptr;
-  by_name_.erase(names_[id]);
   // A dead endpoint receives nothing more; entries naming it as a sender
   // in other lists expire on their own.  Open instants stay: their head
   // events fire, see the dead transport, and discard.
   clamps_[id] = {};
 }
 
-bool EngineHub::send_from(net::EndpointId from, net::EndpointId to,
+bool EngineHub::send_from(EndpointId from, EndpointId to,
                           std::vector<std::uint8_t> payload) {
   thread_check_.check("EngineHub::send_from");
   if (to >= transports_.size() || transports_[to] == nullptr) {
@@ -224,16 +199,15 @@ bool EngineHub::send_from(net::EndpointId from, net::EndpointId to,
       dup.assign(payload.begin(), payload.end());
       dups.push_back(std::move(dup));
     }
-    enqueue_frame(from, to, at, std::move(payload));
-    for (auto& dup : dups) enqueue_frame(from, to, at, std::move(dup));
+    enqueue_frame(to, at, std::move(payload));
+    for (auto& dup : dups) enqueue_frame(to, at, std::move(dup));
     return true;
   }
-  enqueue_frame(from, to, at, std::move(payload));
+  enqueue_frame(to, at, std::move(payload));
   return true;
 }
 
-void EngineHub::enqueue_frame(net::EndpointId from, net::EndpointId to,
-                              SimTime at,
+void EngineHub::enqueue_frame(EndpointId to, SimTime at,
                               std::vector<std::uint8_t> payload) {
   // Follower?  The marks record is the whole cost of batching on the
   // single-frame common path; the batch list is only consulted when the
@@ -272,7 +246,7 @@ void EngineHub::enqueue_frame(net::EndpointId from, net::EndpointId to,
         open_batch->frames = std::move(frame_pool_.back());
         frame_pool_.pop_back();
       }
-      open_batch->frames.push_back(PendingFrame{from, std::move(payload)});
+      open_batch->frames.push_back(std::move(payload));
       return;
     }
     Batch batch;
@@ -281,7 +255,7 @@ void EngineHub::enqueue_frame(net::EndpointId from, net::EndpointId to,
       batch.frames = std::move(frame_pool_.back());
       frame_pool_.pop_back();
     }
-    batch.frames.push_back(PendingFrame{from, std::move(payload)});
+    batch.frames.push_back(std::move(payload));
     batches_[to].push_back(std::move(batch));
     return;
   }
@@ -294,26 +268,26 @@ void EngineHub::enqueue_frame(net::EndpointId from, net::EndpointId to,
     ++marks.overflow_count;
     batches_[to].push_back(Batch{at, {}});  // overflow marker
   }
-  engine_.schedule_at(at, Delivery{this, from, to, std::move(payload)});
+  engine_.schedule_at(at, Delivery{this, to, std::move(payload)});
 }
 
-void EngineHub::deliver_one(net::EndpointId from, net::EndpointId to,
+void EngineHub::deliver_one(EndpointId to,
                             std::vector<std::uint8_t>& payload) {
   // Route at delivery time, per frame: the receiver may have crashed in
   // between (or mid-batch, from its own handler).
   EngineTransport* ep = transports_[to];
   if (ep != nullptr) {
     ++delivered_;
-    net::Message msg{names_[from], std::move(payload), from};
+    net::Message msg{std::move(payload)};
     ep->dispatch(msg);
     payload = std::move(msg.payload);  // reclaim unless the handler kept it
   }
   release_buffer(std::move(payload));
 }
 
-void EngineHub::deliver_head(net::EndpointId from, net::EndpointId to,
+void EngineHub::deliver_head(EndpointId to,
                              std::vector<std::uint8_t> payload) {
-  deliver_one(from, to, payload);
+  deliver_one(to, payload);
   // The head executes exactly at its timestamp, which identifies the
   // instant: clear its open marker and drain any followers.  (Index the
   // tables fresh after dispatch — a handler may have grown them.)
@@ -348,7 +322,7 @@ void EngineHub::deliver_head(net::EndpointId from, net::EndpointId to,
     }
   }
   if (!was_inline) --marks.overflow_count;
-  for (PendingFrame& f : frames) deliver_one(f.from, to, f.payload);
+  for (PendingFrame& f : frames) deliver_one(to, f);
   frames.clear();
   if (frames.capacity() > 0 && frame_pool_.size() < kFramePoolCap)
     frame_pool_.push_back(std::move(frames));

@@ -1,7 +1,7 @@
 // Event-driven transport: net::Transport over the discrete-event kernel.
 //
 // EngineHub plays the role InProcHub plays for the threaded runtime — a
-// registry of named endpoints — except that delivery is an *event*: send()
+// registry of endpoints — except that delivery is an *event*: send()
 // draws a latency (and possibly a drop) from the hub's LinkModel and
 // schedules the receiver's handler at now + latency on the engine.  No
 // threads, no mailboxes: handlers run inline in the engine loop, in
@@ -10,10 +10,10 @@
 // The hub is built for the 100k-node steady state, where every protocol
 // message passes through it:
 //
-//   * addresses are interned at registration into dense EndpointIds; the
-//     endpoint table is flat and the per-send path does no string hashing
-//     or copying (protocol layers cache resolve()d ids);
-//   * each endpoint's hub-side state — transport pointer, name, FIFO-clamp
+//   * peers are node ids: one flat node-id → live-endpoint table routes
+//     every send (an id beyond it, or whose endpoint died, is a contact
+//     failure), so the per-send path does no hashing and no string work;
+//   * each endpoint's hub-side state — transport pointer, FIFO-clamp
 //     list, delivery-batching rendezvous — lives in type-segregated
 //     contiguous slabs indexed by EndpointId, split by access pattern so
 //     the per-send hot walk stays inside the two dense tables (transport
@@ -37,8 +37,9 @@
 //   * payload vectors come from a hub pool: encode writes into a recycled
 //     buffer, and after delivery (or a drop) the buffer returns to the
 //     pool — zero steady-state allocation per message;
-//   * the delivery closure (hub pointer + two ids + the pooled vector)
-//     fits EventFn's inline storage, so scheduling doesn't allocate.
+//   * the delivery closure (hub pointer + destination id + the pooled
+//     vector) fits EventFn's inline storage, so scheduling doesn't
+//     allocate.
 //
 // Semantics match the live transports where it matters to the protocol:
 //   * send() returns false when the destination is not (or no longer)
@@ -50,14 +51,13 @@
 //
 // Lifetime: the hub must outlive the engine's pending delivery events (in
 // practice: destroy the engine first, or simply stop running it).
-// Endpoint ids are never reused; names of dead endpoints may be
-// re-registered (the name then maps to a fresh id).
+// Endpoint ids are internal and never reused: a crashed node that
+// re-registers gets a fresh endpoint, so frames still in flight to its
+// old life are discarded, and its node id routes to the new one.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/event_engine.hpp"
@@ -68,6 +68,11 @@
 
 namespace poly::engine {
 
+/// Dense id of one endpoint registration in an EngineHub: internal to the
+/// hub (and the fault plane's frame matching), never reused.
+using EndpointId = std::uint32_t;
+inline constexpr EndpointId kInvalidEndpointId = 0xffffffffu;
+
 class EngineHub;
 
 /// One endpoint of an EngineHub.  Single-threaded: use only from engine
@@ -76,27 +81,23 @@ class EngineTransport final : public net::Transport {
  public:
   ~EngineTransport() override;
 
-  net::Address address() const override { return address_; }
   void set_handler(net::MessageHandler handler) override;
-  bool send(const net::Address& to,
-            std::vector<std::uint8_t> payload) override;
-  bool send(net::EndpointId to, std::vector<std::uint8_t> payload) override;
-  net::EndpointId resolve(const net::Address& to) const override;
+  bool send(net::LiveNodeId to, std::vector<std::uint8_t> payload) override;
   std::vector<std::uint8_t> acquire_buffer() override;
   void shutdown() override;
 
-  /// This endpoint's interned id within its hub.
-  net::EndpointId endpoint_id() const noexcept { return id_; }
+  /// This endpoint's registration id within its hub (the fault plane's
+  /// frame-matching key; never reused).
+  EndpointId endpoint_id() const noexcept { return id_; }
 
  private:
   friend class EngineHub;
-  EngineTransport(EngineHub* hub, net::Address address, net::EndpointId id);
+  EngineTransport(EngineHub* hub, EndpointId id);
 
   void dispatch(net::Message& msg);
 
   EngineHub* hub_;
-  net::Address address_;
-  net::EndpointId id_;
+  EndpointId id_;
   net::MessageHandler handler_;
   bool stopped_ = false;
 };
@@ -122,15 +123,10 @@ class EngineHub {
   EngineHub(const EngineHub&) = delete;
   EngineHub& operator=(const EngineHub&) = delete;
 
-  /// Creates and registers an endpoint with a unique (among live
-  /// endpoints) address, interned as the next dense EndpointId.
-  std::unique_ptr<EngineTransport> make_endpoint(const net::Address& address);
-
-  /// True if the address is currently registered (alive).
-  bool reachable(const net::Address& address) const;
-
-  /// The live endpoint id for an address (kInvalidEndpointId when absent).
-  net::EndpointId resolve(const net::Address& address) const;
+  /// Creates an endpoint (the next dense EndpointId) and routes node
+  /// `node` to it from now on.  Throws std::invalid_argument while `node`
+  /// still has a live endpoint; a crashed node's id may re-register.
+  std::unique_ptr<EngineTransport> make_endpoint(net::LiveNodeId node);
 
   EventEngine& engine() noexcept { return engine_; }
 
@@ -161,9 +157,9 @@ class EngineHub {
   void release_buffer(std::vector<std::uint8_t> buf);
 
   /// Approximate heap bytes retained by the hub: the per-endpoint tables,
-  /// name strings, batching state, FIFO clamps and both buffer pools
-  /// (capacities, i.e. the retained footprint).  One line of the fleet
-  /// memory audit (EventCluster::memory_breakdown).
+  /// the node routing table, batching state, FIFO clamps and both buffer
+  /// pools (capacities, i.e. the retained footprint).  One line of the
+  /// fleet memory audit (EventCluster::memory_breakdown).
   std::size_t approx_bytes() const;
 
  private:
@@ -180,10 +176,7 @@ class EngineHub {
   static constexpr std::uint32_t kOpenInline = 3;
 
   /// One follower frame parked in a destination batch.
-  struct PendingFrame {
-    net::EndpointId from;
-    std::vector<std::uint8_t> payload;
-  };
+  using PendingFrame = std::vector<std::uint8_t>;
 
   /// Follower frames for one destination due at one instant, drained by
   /// that instant's head delivery event in enqueue (= send) order.  An
@@ -212,37 +205,41 @@ class EngineHub {
   /// Last scheduled (pre-rounding, pre-reorder) delivery from `from` to
   /// the list's destination; dropped once `last_at` has passed.
   struct ClampEntry {
-    net::EndpointId from;
+    EndpointId from;
     SimTime last_at;
   };
 
   /// The scheduled head delivery: the instant's first frame, carried
-  /// inline.  Sized to exactly fit EventFn's inline storage; the event's
-  /// execution time identifies the instant to drain.
+  /// inline.  Fits EventFn's inline storage; the event's execution time
+  /// identifies the instant to drain.
   struct Delivery {
     EngineHub* hub;
-    net::EndpointId from;
-    net::EndpointId to;
+    EndpointId to;
     std::vector<std::uint8_t> payload;
-    void operator()() { hub->deliver_head(from, to, std::move(payload)); }
+    void operator()() { hub->deliver_head(to, std::move(payload)); }
   };
 
-  bool send_from(net::EndpointId from, net::EndpointId to,
+  /// The live endpoint routing `node`, or kInvalidEndpointId when `node`
+  /// is beyond the table or never registered (a dead endpoint is returned
+  /// as is; send_from sees it dead).
+  EndpointId endpoint_of(net::LiveNodeId node) const noexcept {
+    return node < by_node_.size() ? by_node_[node] : kInvalidEndpointId;
+  }
+
+  bool send_from(EndpointId from, EndpointId to,
                  std::vector<std::uint8_t> payload);
   /// Marks the (destination, instant) rendezvous and schedules or parks
   /// one frame — the tail of send_from, factored out so duplicated frames
   /// enqueue through the identical batching path.
-  void enqueue_frame(net::EndpointId from, net::EndpointId to, SimTime at,
+  void enqueue_frame(EndpointId to, SimTime at,
                      std::vector<std::uint8_t> payload);
   /// Delivers the head frame, clears the instant's open marker, and
   /// drains any followers that coalesced at this instant.
-  void deliver_head(net::EndpointId from, net::EndpointId to,
-                    std::vector<std::uint8_t> payload);
+  void deliver_head(EndpointId to, std::vector<std::uint8_t> payload);
   /// Delivers one frame to `to` (routing at delivery time: the receiver
   /// may be gone) and recycles the payload buffer.
-  void deliver_one(net::EndpointId from, net::EndpointId to,
-                   std::vector<std::uint8_t>& payload);
-  void unregister(net::EndpointId id);
+  void deliver_one(EndpointId to, std::vector<std::uint8_t>& payload);
+  void unregister(EndpointId id);
 
   EventEngine& engine_;
   std::unique_ptr<LinkModel> link_;
@@ -255,20 +252,19 @@ class EngineHub {
   /// per-endpoint record) keeps each path's working set dense: the
   /// per-send dead-endpoint check walks an 8-byte-stride table, the
   /// batching rendezvous a 32-byte-stride one, and the cold tables
-  /// (names, follower batches, clamp lists) are only pulled in by the
-  /// paths that need them.
+  /// (follower batches, clamp lists) are only pulled in by the paths that
+  /// need them.
   ///
-  /// transports_[id] == nullptr marks a dead endpoint; names_ keeps every
-  /// endpoint's address forever (frames in flight from a crashed sender
-  /// still carry its name); clamps_[id] and batches_[id] hold the FIFO
-  /// clamps of id's in-flight senders and id's follower frames per open
-  /// instant (a handful of entries each, scanned linearly).
+  /// transports_[id] == nullptr marks a dead endpoint; clamps_[id] and
+  /// batches_[id] hold the FIFO clamps of id's in-flight senders and id's
+  /// follower frames per open instant (a handful of entries each, scanned
+  /// linearly).  by_node_ is the node-id routing table: each node's latest
+  /// endpoint (kInvalidEndpointId for ids never registered).
   std::vector<EngineTransport*> transports_;
   std::vector<OpenMarks> marks_;
   std::vector<std::vector<Batch>> batches_;
-  std::vector<net::Address> names_;
   std::vector<std::vector<ClampEntry>> clamps_;
-  std::unordered_map<net::Address, net::EndpointId> by_name_;  // live only
+  std::vector<EndpointId> by_node_;
 
   std::vector<std::vector<std::uint8_t>> pool_;
   std::vector<std::vector<PendingFrame>> frame_pool_;

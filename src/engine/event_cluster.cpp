@@ -1,7 +1,6 @@
 #include "engine/event_cluster.hpp"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "traffic/workload.hpp"
@@ -56,11 +55,12 @@ EventCluster::~EventCluster() = default;
 
 std::size_t EventCluster::add_node(std::optional<space::DataPoint> initial) {
   const std::size_t idx = nodes_.size();
-  // The fault plane matches node ids, not endpoint ids (a recovered node
-  // keeps its id under a fresh endpoint): register the mapping for every
-  // endpoint ever made.  make_endpoint draws no randomness, so hoisting
-  // it out of the emplace leaves the per-node seed sequence unchanged.
-  auto ep = hub_->make_endpoint("node-" + std::to_string(idx));
+  // The hub routes node id `idx` to this endpoint.  The fault plane
+  // matches node ids, not endpoint ids (a recovered node keeps its id
+  // under a fresh endpoint): register the mapping for every endpoint ever
+  // made.  make_endpoint draws no randomness, so hoisting it out of the
+  // emplace leaves the per-node seed sequence unchanged.
+  auto ep = hub_->make_endpoint(static_cast<net::LiveNodeId>(idx));
   plane_.map_endpoint(ep->endpoint_id(), static_cast<std::uint32_t>(idx));
   net::AsyncNode& node = nodes_.emplace_back(
       static_cast<net::LiveNodeId>(idx), space_, std::move(ep),
@@ -101,11 +101,8 @@ void EventCluster::bootstrap_node(std::size_t idx) {
   rng_.sample_indices_into(others, std::min(cfg_.node.rps_view, others),
                            sample_scratch_);
   seed_scratch_.clear();
-  for (std::size_t slot : sample_scratch_) {
-    const std::uint32_t j = alive_pool_[slot];
-    seed_scratch_.push_back(net::Seed{static_cast<net::LiveNodeId>(j),
-                                      nodes_[j].address()});
-  }
+  for (std::size_t slot : sample_scratch_)
+    seed_scratch_.push_back(static_cast<net::LiveNodeId>(alive_pool_[slot]));
   nodes_[idx].bootstrap(seed_scratch_);
 }
 
@@ -196,10 +193,10 @@ std::size_t EventCluster::inject(const space::Point& pos) {
 
 bool EventCluster::recover_node(std::size_t idx) {
   if (idx >= nodes_.size() || !crashed_[idx]) return false;
-  // The old endpoint id died with the crash and is never reused; the old
-  // *name* is free again, so the rejoined node is reachable by the same
-  // address its stale view entries on peers still advertise.
-  auto ep = hub_->make_endpoint("node-" + std::to_string(idx));
+  // The old endpoint died with the crash and is never reused (frames in
+  // flight to it are discarded); the hub now routes the node's id — the
+  // one its stale view entries on peers still hold — to a fresh endpoint.
+  auto ep = hub_->make_endpoint(static_cast<net::LiveNodeId>(idx));
   plane_.map_endpoint(ep->endpoint_id(), static_cast<std::uint32_t>(idx));
   nodes_[idx].recover(std::move(ep));
   crashed_[idx] = false;

@@ -127,8 +127,8 @@ class EventCluster {
 
   // ---- recovery -----------------------------------------------------------
   // Crash-recovery (docs/FAULTS.md): a crashed node rejoins under a fresh
-  // hub endpoint at its old address, keeping its pre-crash (stale) views —
-  // the protocol must absorb the ghost of its former self.
+  // hub endpoint routing its old node id, keeping its pre-crash (stale)
+  // views — the protocol must absorb the ghost of its former self.
 
   /// Rejoins crashed node `idx`; false when out of range or not crashed.
   bool recover_node(std::size_t idx);
@@ -269,15 +269,15 @@ class EventCluster {
   fault::FaultPlane plane_;
   std::vector<space::DataPoint> points_;  // originals + injected sentinels
   /// Every node's view storage is carved from this arena (4 MB chunks:
-  /// ~1300 nodes per chunk at the default config's ~3.2 KB/node), and all
+  /// ~2,000 nodes per chunk at the default config's 2,064 B/node), and all
   /// nodes share one scratch — the engine drives them from one thread.
   /// Declared before nodes_ so the nodes (whose views point into the
   /// arena) are destroyed first.
   util::Arena arena_{std::size_t{4} << 20};
   net::AsyncScratch scratch_;
-  /// Nodes live in a chunked slab indexed by node id (== hub EndpointId
-  /// creation order): the per-delivery random-node walk lands in packed
-  /// storage instead of chasing one heap pointer per node.
+  /// Nodes live in a chunked slab indexed by node id: the per-delivery
+  /// random-node walk lands in packed storage instead of chasing one heap
+  /// pointer per node.
   util::ObjectSlab<net::AsyncNode> nodes_;
   std::vector<bool> crashed_;
   /// Per-node stall deadline: a tick firing before stall_until_[i] is
@@ -293,7 +293,7 @@ class EventCluster {
   static constexpr std::uint32_t kNotInPool = 0xffffffffu;
   // Bootstrap/churn scratch: reused across calls, no steady allocation.
   std::vector<std::size_t> sample_scratch_;
-  std::vector<net::Seed> seed_scratch_;
+  std::vector<net::LiveNodeId> seed_scratch_;
   /// Lazily-created request workload (nullptr until start_traffic).
   std::unique_ptr<traffic::TrafficPlane> traffic_;
 };

@@ -109,11 +109,12 @@ void FaultPlane::heal(RuleId id, SimTime at) {
   if (id < rules_.size() && at < rules_[id].until) rules_[id].until = at;
 }
 
-FrameFate FaultPlane::fate(std::uint32_t from_ep, std::uint32_t to_ep,
-                           std::size_t /*bytes*/, SimTime now) {
+FrameFate FaultPlane::fate(std::uint32_t from_endpoint,
+                           std::uint32_t to_endpoint, std::size_t /*bytes*/,
+                           SimTime now) {
   FrameFate f;
-  const std::uint32_t from = node_of(from_ep);
-  const std::uint32_t to = node_of(to_ep);
+  const std::uint32_t from = node_of(from_endpoint);
+  const std::uint32_t to = node_of(to_endpoint);
   for (Rule& r : rules_) {
     if (now < r.from || now >= r.until) continue;
     switch (r.kind) {

@@ -132,7 +132,7 @@ class FaultPlane {
 
   /// The fate of one frame (hub endpoint ids).  Draws only from the
   /// private streams of the active rules that match.
-  FrameFate fate(std::uint32_t from_ep, std::uint32_t to_ep,
+  FrameFate fate(std::uint32_t from_endpoint, std::uint32_t to_endpoint,
                  std::size_t bytes, SimTime now);
 
   /// Applies a corrupt fate: XORs 1–4 payload bytes with nonzero masks

@@ -11,9 +11,10 @@ std::shared_ptr<InProcHub> InProcHub::create() {
 }
 
 std::unique_ptr<InProcTransport> InProcHub::make_endpoint(
-    const Address& address) {
-  std::unique_ptr<InProcTransport> ep(
-      new InProcTransport(shared_from_this(), address));
+    const Address& address,
+    std::shared_ptr<const AddressDirectory> directory) {
+  std::unique_ptr<InProcTransport> ep(new InProcTransport(
+      shared_from_this(), address, std::move(directory)));
   {
     util::MutexLock lk(mu_);
     if (!endpoints_.emplace(address, ep.get()).second)
@@ -47,9 +48,12 @@ void InProcHub::unregister(const Address& address) {
 
 // ---- InProcTransport -------------------------------------------------------
 
-InProcTransport::InProcTransport(std::shared_ptr<InProcHub> hub,
-                                 Address address)
-    : hub_(std::move(hub)), address_(std::move(address)) {
+InProcTransport::InProcTransport(
+    std::shared_ptr<InProcHub> hub, Address address,
+    std::shared_ptr<const AddressDirectory> directory)
+    : hub_(std::move(hub)),
+      address_(std::move(address)),
+      directory_(std::move(directory)) {
   pump_thread_ = std::thread([this] { pump(); });
 }
 
@@ -61,13 +65,14 @@ void InProcTransport::set_handler(MessageHandler handler) {
   cv_.notify_all();
 }
 
-bool InProcTransport::send(const Address& to,
-                           std::vector<std::uint8_t> payload) {
-  if (to == address_) {
+bool InProcTransport::send(LiveNodeId to, std::vector<std::uint8_t> payload) {
+  const std::optional<Address> addr = directory_->find(to);
+  if (!addr) return false;  // unknown or out-of-range id
+  if (*addr == address_) {
     // Loopback without going through the hub.
-    return deliver(Message{address_, std::move(payload)});
+    return deliver(Message{std::move(payload)});
   }
-  return hub_->route(to, Message{address_, std::move(payload)});
+  return hub_->route(*addr, Message{std::move(payload)});
 }
 
 bool InProcTransport::deliver(Message msg) {

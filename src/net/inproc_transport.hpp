@@ -1,7 +1,8 @@
 // In-process transport: a registry of named endpoints with per-endpoint
 // mailbox threads.  Reliable, in-order per sender-receiver pair, and
 // supports abrupt endpoint "crashes" (for failure-injection tests) by
-// closing the mailbox without draining it.
+// closing the mailbox without draining it.  Sends name a node id, which
+// the endpoint resolves to a registry name through its AddressDirectory.
 #pragma once
 
 #include <deque>
@@ -21,14 +22,15 @@ class InProcTransport final : public Transport {
  public:
   ~InProcTransport() override;
 
-  Address address() const override { return address_; }
+  const Address& address() const noexcept { return address_; }
   void set_handler(MessageHandler handler) override;
-  bool send(const Address& to, std::vector<std::uint8_t> payload) override;
+  bool send(LiveNodeId to, std::vector<std::uint8_t> payload) override;
   void shutdown() override;
 
  private:
   friend class InProcHub;
-  InProcTransport(std::shared_ptr<InProcHub> hub, Address address);
+  InProcTransport(std::shared_ptr<InProcHub> hub, Address address,
+                  std::shared_ptr<const AddressDirectory> directory);
 
   /// Enqueues an incoming message; returns false if shut down.
   bool deliver(Message msg);
@@ -36,6 +38,7 @@ class InProcTransport final : public Transport {
 
   std::shared_ptr<InProcHub> hub_;
   Address address_;
+  std::shared_ptr<const AddressDirectory> directory_;
 
   /// Guards the mailbox across senders (deliver), the pump thread, and
   /// shutdown.
@@ -52,8 +55,11 @@ class InProcHub : public std::enable_shared_from_this<InProcHub> {
  public:
   static std::shared_ptr<InProcHub> create();
 
-  /// Creates and registers an endpoint with a unique address.
-  std::unique_ptr<InProcTransport> make_endpoint(const Address& address);
+  /// Creates and registers an endpoint with a unique address; its sends
+  /// resolve node ids through `directory`.
+  std::unique_ptr<InProcTransport> make_endpoint(
+      const Address& address,
+      std::shared_ptr<const AddressDirectory> directory);
 
   /// True if the address is currently registered (alive).
   bool reachable(const Address& address);

@@ -41,7 +41,6 @@ space::Point decode_point(util::ByteReader& r) {
 void encode_header(util::ByteWriter& w, const Header& h) {
   w.u8(static_cast<std::uint8_t>(h.type));
   w.u64(h.sender);
-  w.str(h.sender_addr);
 }
 
 Header decode_header(util::ByteReader& r) {
@@ -52,7 +51,6 @@ Header decode_header(util::ByteReader& r) {
     throw util::CodecError("header: unknown message type");
   h.type = static_cast<MsgType>(t);
   h.sender = r.u64();
-  h.sender_addr = r.str();
   return h;
 }
 
@@ -60,7 +58,6 @@ void encode_peers(util::ByteWriter& w, const std::vector<WirePeer>& peers) {
   w.u32(static_cast<std::uint32_t>(peers.size()));
   for (const auto& p : peers) {
     w.u64(p.id);
-    w.str(p.addr);
     w.u32(p.age);
     encode_point(w, p.pos);
     w.u64(p.version);
@@ -73,7 +70,6 @@ void decode_peers_into(util::ByteReader& r, std::vector<WirePeer>& out) {
   for (std::uint32_t i = 0; i < n; ++i) {
     WirePeer& p = out[i];
     p.id = r.u64();
-    r.str_into(p.addr);
     p.age = r.u32();
     p.pos = decode_point(r);
     p.version = r.u64();
@@ -91,7 +87,6 @@ void encode_descriptors(util::ByteWriter& w,
   w.u32(static_cast<std::uint32_t>(descriptors.size()));
   for (const auto& d : descriptors) {
     w.u64(d.id);
-    w.str(d.addr);
     encode_point(w, d.pos);
     w.u64(d.version);
   }
@@ -104,7 +99,6 @@ void decode_descriptors_into(util::ByteReader& r,
   for (std::uint32_t i = 0; i < n; ++i) {
     WireDescriptor& d = out[i];
     d.id = r.u64();
-    r.str_into(d.addr);
     d.pos = decode_point(r);
     d.version = r.u64();
   }

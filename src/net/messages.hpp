@@ -7,18 +7,22 @@
 // (truncated or oversized frames raise util::CodecError).
 //
 // Protocol summary (one message kind per protocol step):
-//   kRpsShuffleReq/Resp — Cyclon shuffle buffers (id, address, age)
-//   kTmanReq/Resp       — T-Man descriptor buffers (id, address, pos, ver)
+//   kRpsShuffleReq/Resp — Cyclon shuffle buffers (id, age, pos, ver)
+//   kTmanReq/Resp       — T-Man descriptor buffers (id, pos, ver)
 //   kBackupPush         — origin's full guest set (doubles as a liveness
 //                         heartbeat from origin to backup holder)
 //   kMigrateReq         — initiator's guests + position (pull phase)
 //   kMigrateResp        — accepted? + the initiator's new guest set (push
 //                         phase), or a busy rejection
+//
+// Peers are node ids only: the header names the sender by id, and list
+// entries are fixed-size records (RPS 45 B, T-Man 41 B, point 33 B), so a
+// gossip frame of N entries is exactly 13 + N × entry bytes (9-byte
+// header, 4-byte count).  Routing an id is the transport's job
+// (net/transport.hpp).
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "net/transport.hpp"
@@ -26,10 +30,6 @@
 #include "util/codec.hpp"
 
 namespace poly::net {
-
-/// Logical node identity in the live runtime (decoupled from transport
-/// addresses; a node is identified by id, reached via its address).
-using LiveNodeId = std::uint64_t;
 
 enum class MsgType : std::uint8_t {
   kRpsShuffleReq = 1,
@@ -42,7 +42,7 @@ enum class MsgType : std::uint8_t {
 };
 
 /// A peer reference gossiped by the RPS layer.  Besides the Cyclon
-/// (id, addr, age) triple, a peer carries its last known topology
+/// (id, age) pair, a peer carries its last known topology
 /// descriptor (position + version): the RPS layer is T-Man's supply of
 /// uniformly random merge candidates (as in the T-Man paper), which is
 /// what lets two spatial neighbourhoods that have stopped gossiping
@@ -51,7 +51,6 @@ enum class MsgType : std::uint8_t {
 /// used as a descriptor.
 struct WirePeer {
   LiveNodeId id = 0;
-  Address addr;
   std::uint32_t age = 0;
   space::Point pos;
   std::uint64_t version = 0;
@@ -60,7 +59,6 @@ struct WirePeer {
 /// A topology descriptor gossiped by the T-Man layer.
 struct WireDescriptor {
   LiveNodeId id = 0;
-  Address addr;
   space::Point pos;
   std::uint64_t version = 0;
 };
@@ -71,11 +69,10 @@ struct WirePoint {
   space::Point pos;
 };
 
-/// Common frame header: type + sender identity.
+/// Common frame header: type + sender id (replies go to `sender`).
 struct Header {
   MsgType type{};
   LiveNodeId sender = 0;
-  Address sender_addr;
 };
 
 // ---- encode -----------------------------------------------------------------
@@ -98,7 +95,7 @@ std::vector<std::uint8_t> encode_rps(const Header& h,
                                      const std::vector<WirePeer>& peers);
 
 /// T-Man request/response: header + descriptor list (sender's own
-/// descriptor travels in the header's addr + the first list entry).
+/// descriptor travels as the first list entry).
 void encode_tman(util::ByteWriter& w, const Header& h,
                  const std::vector<WireDescriptor>& descriptors);
 std::vector<std::uint8_t> encode_tman(

@@ -34,12 +34,11 @@ void to_wire_into(const core::PointSet& set, std::vector<WirePoint>& out) {
     out[i] = WirePoint{set[i].id, set[i].pos};
 }
 
-/// First index with the strictly greatest age (what std::max_element
-/// returned over the AoS view this SoA layout replaces).
-std::size_t oldest_index(const util::ArenaVec<PeerHot>& hot) {
+/// First index with the strictly greatest age.
+std::size_t oldest_index(const PeerList& view) {
   std::size_t oldest = 0;
-  for (std::size_t i = 1; i < hot.size(); ++i)
-    if (hot[i].age > hot[oldest].age) oldest = i;
+  for (std::size_t i = 1; i < view.size(); ++i)
+    if (view[i].age > view[oldest].age) oldest = i;
   return oldest;
 }
 
@@ -66,7 +65,6 @@ AsyncNode::AsyncNode(LiveNodeId id,
     : id_(id),
       space_(std::move(space)),
       transport_(std::move(transport)),
-      addr_(transport_->address()),
       cfg_(config),
       rng_(seed),
       own_arena_(arena == nullptr
@@ -83,8 +81,6 @@ AsyncNode::AsyncNode(LiveNodeId id,
   tman_view_.bind(*arena_, tman_phys_cap(cfg_));
   backups_.bind(*arena_, static_cast<std::uint32_t>(cfg_.replication));
   ghosts_.bind(*arena_, static_cast<std::uint32_t>(cfg_.replication + 2));
-  ep_cache_.bind(*arena_, kEpCacheSlots);
-  ep_cache_.resize(kEpCacheSlots);  // value-init: every slot invalid
   if (initial) {
     guests_.push_back(*initial);
     pos_ = initial->pos;
@@ -97,12 +93,12 @@ AsyncNode::~AsyncNode() {
   transport_->shutdown();
 }
 
-void AsyncNode::bootstrap(const std::vector<Seed>& seeds) {
+void AsyncNode::bootstrap(const std::vector<LiveNodeId>& seeds) {
   util::MutexLock lk(state_mu_);
-  for (const auto& s : seeds) {
-    if (s.id == id_) continue;
+  for (const LiveNodeId s : seeds) {
+    if (s == id_) continue;
     if (rps_view_.size() < cfg_.rps_view)
-      rps_view_.push_back(PeerHot{s.id, 0, {}, 0}, s.addr);
+      rps_view_.push_back(PeerHot{s, 0, {}, 0});
   }
 }
 
@@ -161,10 +157,6 @@ void AsyncNode::recover(std::unique_ptr<Transport> transport) {
   util::MutexLock lk(state_mu_);
   transport_ = std::move(transport);
   transport_->set_handler([this](Message& msg) { on_message(msg); });
-  // The old life's interned endpoint ids are dead; drop them so the first
-  // post-rejoin contacts re-resolve by name instead of eating one failed
-  // send (and a spurious peer_unreachable purge) each.
-  for (std::size_t i = 0; i < kEpCacheSlots; ++i) ep_cache_[i] = EpCacheSlot{};
   // Any half-open migration handshake died with the old endpoint; the
   // partner timed out during the outage and kept its guests.
   migrating_ = false;
@@ -205,7 +197,7 @@ void AsyncNode::on_tick() {
 }
 
 Header AsyncNode::header(MsgType type) const {
-  return Header{type, id_, addr_};
+  return Header{type, id_};
 }
 
 const std::vector<WirePoint>& AsyncNode::wire_guests() const {
@@ -213,44 +205,13 @@ const std::vector<WirePoint>& AsyncNode::wire_guests() const {
   return scratch_->wire_guests;
 }
 
-bool AsyncNode::send_reply(const Header& h, std::vector<std::uint8_t> frame) {
-  if (reply_ep_ != kInvalidEndpointId && reply_from_ != nullptr &&
-      *reply_from_ == h.sender_addr) {
-    if (transport_->send(reply_ep_, std::move(frame))) return true;
-    peer_unreachable(h.sender);
-    return false;
-  }
-  return send_to(h.sender, h.sender_addr, std::move(frame));
-}
-
-bool AsyncNode::send_to(LiveNodeId peer, std::string_view addr,
-                        std::vector<std::uint8_t> frame) {
-  bool ok;
-  EpCacheSlot& slot = ep_cache_[peer & (kEpCacheSlots - 1)];
-  if (slot.ep != kInvalidEndpointId && slot.id == peer) {
-    ok = transport_->send(slot.ep, std::move(frame));
-  } else {
-    // Miss (or collision eviction): resolve by name once and take the
-    // slot.  The Address string only materializes on this path.
-    const Address a(addr);
-    const EndpointId ep = transport_->resolve(a);
-    if (ep != kInvalidEndpointId) {
-      slot = EpCacheSlot{peer, ep};
-      ok = transport_->send(ep, std::move(frame));
-    } else {
-      ok = transport_->send(a, std::move(frame));
-    }
-  }
-  if (!ok) {
-    peer_unreachable(peer);
-    return false;
-  }
-  return true;
+bool AsyncNode::send_to(LiveNodeId peer, std::vector<std::uint8_t> frame) {
+  if (transport_->send(peer, std::move(frame))) return true;
+  peer_unreachable(peer);
+  return false;
 }
 
 void AsyncNode::peer_unreachable(LiveNodeId peer) {
-  EpCacheSlot& slot = ep_cache_[peer & (kEpCacheSlots - 1)];
-  if (slot.id == peer) slot.ep = kInvalidEndpointId;
   rps_view_.erase_if([peer](const PeerHot& e) { return e.id == peer; });
   tman_view_.erase_if([peer](const DescriptorHot& e) { return e.id == peer; });
   backups_.erase_if([peer](const PeerHot& b) { return b.id == peer; });
@@ -265,8 +226,6 @@ void AsyncNode::on_message(Message& msg) {
   // One lock for decode + dispatch: the scratch buffers are shared state,
   // and the handlers run under the same acquisition (they do not lock).
   util::MutexLock lk(state_mu_);
-  reply_ep_ = msg.from_ep;
-  reply_from_ = &msg.from;
   try {
     util::ByteReader r(msg.payload);
     const Header h = decode_header(r);
@@ -317,34 +276,31 @@ void AsyncNode::on_message(Message& msg) {
       util::log_warn(std::string("AsyncNode: dropping malformed frame: ") +
                      e.what());
   }
-  reply_ep_ = kInvalidEndpointId;
-  reply_from_ = nullptr;
 }
 
 // ---- RPS --------------------------------------------------------------------
 
 void AsyncNode::step_rps() {
   if (rps_view_.empty()) return;
-  for (auto& e : rps_view_.hot) ++e.age;
-  const std::size_t oldest = oldest_index(rps_view_.hot);
-  const PeerHot target = rps_view_.hot[oldest];
-  const InlineAddr target_addr = rps_view_.names[oldest];
+  for (auto& e : rps_view_) ++e.age;
+  const std::size_t oldest = oldest_index(rps_view_);
+  const LiveNodeId target = rps_view_[oldest].id;
   rps_view_.erase(oldest);  // swap semantics, as in Cyclon
 
   auto& out = scratch_->out_peers;
   out.clear();
-  out.push_back(WirePeer{id_, addr_, 0, pos_, pos_version_});
+  out.push_back(WirePeer{id_, 0, pos_, pos_version_});
   rng_.sample_indices_into(rps_view_.size(),
                            std::min(cfg_.rps_shuffle - 1, rps_view_.size()),
                            scratch_->samples);
-  for (std::size_t i : scratch_->samples)
-    out.push_back({rps_view_.hot[i].id, rps_view_.names[i].str(),
-                   rps_view_.hot[i].age, rps_view_.hot[i].pos,
-                   rps_view_.hot[i].version});
+  for (std::size_t i : scratch_->samples) {
+    const PeerHot& e = rps_view_[i];
+    out.push_back({e.id, e.age, e.pos, e.version});
+  }
 
   util::ByteWriter w = frame_writer();
   encode_rps(w, header(MsgType::kRpsShuffleReq), out);
-  send_to(target.id, target_addr.view(), w.take());
+  send_to(target, w.take());
 }
 
 void AsyncNode::handle_rps(const Header& h, const std::vector<WirePeer>& peers,
@@ -356,21 +312,21 @@ void AsyncNode::handle_rps(const Header& h, const std::vector<WirePeer>& peers,
     rng_.sample_indices_into(rps_view_.size(),
                              std::min(cfg_.rps_shuffle, rps_view_.size()),
                              scratch_->samples);
-    for (std::size_t i : scratch_->samples)
-      out.push_back({rps_view_.hot[i].id, rps_view_.names[i].str(),
-                     rps_view_.hot[i].age, rps_view_.hot[i].pos,
-                     rps_view_.hot[i].version});
+    for (std::size_t i : scratch_->samples) {
+      const PeerHot& e = rps_view_[i];
+      out.push_back({e.id, e.age, e.pos, e.version});
+    }
     util::ByteWriter w = frame_writer();
     encode_rps(w, header(MsgType::kRpsShuffleResp), out);
-    send_reply(h, w.take());
+    send_to(h.sender, w.take());
   }
   // Merge: drop self/duplicates, cap by replacing the oldest entries.
   // The view never exceeds cfg_.rps_view, whatever the frame carried.
   for (const auto& p : peers) {
     if (p.id == id_) continue;
-    const std::size_t i = rps_view_.find(p.id);
+    const std::size_t i = find_id(rps_view_, p.id);
     if (i < rps_view_.size()) {
-      PeerHot& e = rps_view_.hot[i];
+      PeerHot& e = rps_view_[i];
       if (p.age < e.age) e.age = p.age;  // keep the fresher view
       if (p.version > e.version) {
         e.pos = p.pos;
@@ -379,13 +335,11 @@ void AsyncNode::handle_rps(const Header& h, const std::vector<WirePeer>& peers,
       continue;
     }
     if (rps_view_.size() < cfg_.rps_view) {
-      rps_view_.push_back(PeerHot{p.id, p.age, p.pos, p.version}, p.addr);
+      rps_view_.push_back(PeerHot{p.id, p.age, p.pos, p.version});
     } else {
-      const std::size_t oldest = oldest_index(rps_view_.hot);
-      if (rps_view_.hot[oldest].age > p.age) {
-        rps_view_.hot[oldest] = PeerHot{p.id, p.age, p.pos, p.version};
-        rps_view_.names[oldest].assign(p.addr);
-      }
+      const std::size_t oldest = oldest_index(rps_view_);
+      if (rps_view_[oldest].age > p.age)
+        rps_view_[oldest] = PeerHot{p.id, p.age, p.pos, p.version};
     }
   }
 }
@@ -394,27 +348,26 @@ void AsyncNode::handle_rps(const Header& h, const std::vector<WirePeer>& peers,
 
 void AsyncNode::rank_closest(DescriptorList& entries,
                              const space::Point& origin, std::size_t keep) {
-  // Keys are computed once over the hot array (the cold names are never
-  // read); the (key, id) comparator makes the order strictly total, so
-  // the partial selection is element-for-element identical to a full
-  // sort + truncate.  The gather copies hot+name pairs through rank_tmp
-  // and back — view storage never trades blocks with the scratch.
+  // Keys are computed once per entry; the (key, id) comparator makes the
+  // order strictly total, so the partial selection is element-for-element
+  // identical to a full sort + truncate.  The gather copies entries
+  // through rank_tmp and back — view storage never trades blocks with the
+  // scratch.
   auto& keys = scratch_->rank_keys.keys;
   keys.clear();
   keys.reserve(entries.size());
   for (std::uint32_t i = 0; i < entries.size(); ++i)
-    keys.emplace_back(space_->distance2(origin, entries.hot[i].pos), i);
+    keys.emplace_back(space_->distance2(origin, entries[i].pos), i);
   util::keep_smallest_sorted(
       keys, std::min(keep, keys.size()),
       [&](const std::pair<double, std::uint32_t>& a,
           const std::pair<double, std::uint32_t>& b) {
         if (a.first != b.first) return a.first < b.first;
-        return entries.hot[a.second].id < entries.hot[b.second].id;
+        return entries[a.second].id < entries[b.second].id;
       });
   auto& tmp = scratch_->rank_tmp;
   tmp.clear();
-  for (const auto& [key, idx] : keys)
-    tmp.push_back(entries.hot[idx], entries.names[idx]);
+  for (const auto& [key, idx] : keys) tmp.push_back(entries[idx]);
   entries.assign(tmp);
 }
 
@@ -429,7 +382,7 @@ void AsyncNode::step_tman() {
     const auto ttl = static_cast<std::uint32_t>(cfg_.tman_ttl);
     bool expired = false;
     for (std::size_t i = 0; i < tman_view_.size(); ++i) {
-      DescriptorHot& e = tman_view_.hot[i];
+      DescriptorHot& e = tman_view_[i];
       if (e.age <= ttl) ++e.age;  // saturating: no wraparound
       expired = expired || e.age > ttl;
     }
@@ -449,11 +402,11 @@ void AsyncNode::step_tman() {
   {
     const std::size_t phys = tman_phys_cap(cfg_);
     for (std::size_t i = 0; i < rps_view_.size(); ++i) {
-      const PeerHot& p = rps_view_.hot[i];
+      const PeerHot& p = rps_view_[i];
       if (p.version == 0 || p.id == id_) continue;
-      const std::size_t j = tman_view_.find(p.id);
+      const std::size_t j = find_id(tman_view_, p.id);
       if (j < tman_view_.size()) {
-        DescriptorHot& e = tman_view_.hot[j];
+        DescriptorHot& e = tman_view_[j];
         if (p.version > e.version) {
           e.pos = p.pos;
           e.version = p.version;
@@ -465,24 +418,23 @@ void AsyncNode::step_tman() {
       if (tman_ranked_ && tman_view_.size() >= cfg_.tman_view) {
         // A candidate no closer than the worst ranked entry cannot
         // enter a full view — reject without touching the rank.
-        const DescriptorHot& worst = tman_view_.hot[tman_view_.size() - 1];
+        const DescriptorHot& worst = tman_view_.back();
         if (space_->distance2(pos_, p.pos) >=
             space_->distance2(pos_, worst.pos))
           continue;
       }
       if (tman_view_.size() >= phys)
         rank_closest(tman_view_, pos_, cfg_.tman_view);
-      tman_view_.push_back(DescriptorHot{p.id, p.version, p.pos, fwd_horizon},
-                           rps_view_.names[i]);
+      tman_view_.push_back(
+          DescriptorHot{p.id, p.version, p.pos, fwd_horizon});
       tman_ranked_ = false;
     }
   }
   if (tman_view_.empty()) {
     // Cold start (no peer has a known position yet): seed the topology
     // view with placeholder descriptors so there is someone to contact.
-    for (std::size_t i = 0; i < rps_view_.size(); ++i)
-      tman_view_.push_back(DescriptorHot{rps_view_.hot[i].id, 0, pos_},
-                           rps_view_.names[i]);
+    for (const PeerHot& p : rps_view_)
+      tman_view_.push_back(DescriptorHot{p.id, 0, pos_});
     if (tman_view_.empty()) return;
     tman_ranked_ = false;
   }
@@ -497,38 +449,36 @@ void AsyncNode::step_tman() {
   }
   const std::size_t horizon = std::min(cfg_.psi, tman_view_.size());
   const std::size_t tidx = rng_.index(horizon);
-  const DescriptorHot target = tman_view_.hot[tidx];
-  const InlineAddr target_addr = tman_view_.names[tidx];
+  const DescriptorHot target = tman_view_[tidx];
 
   auto& out = scratch_->out_descriptors;
   out.clear();
-  out.push_back(WireDescriptor{id_, addr_, pos_, pos_version_});
+  out.push_back(WireDescriptor{id_, pos_, pos_version_});
   // Entries closest to the target, capped at tman_msg.  The take loop
   // below skips at most one entry (the target itself), so a ranked prefix
   // of tman_msg is always enough.
   auto& cand = scratch_->tman_cand;
   cand.assign(tman_view_);
   rank_closest(cand, target.pos, cfg_.tman_msg);
-  for (std::size_t i = 0; i < cand.size(); ++i) {
+  for (const DescriptorHot& c : cand) {
     if (out.size() >= cfg_.tman_msg) break;
-    if (cand.hot[i].id == target.id) continue;
+    if (c.id == target.id) continue;
     // Version-0 entries are bootstrap placeholders carrying our *own*
     // position as a stand-in for the member's.  Forwarding such a guess
     // would plant "node X is here" lies in third-party views, where they
     // rank as nearby and never heal (gossip only refreshes entries that
     // really are near their holder).  Placeholders stay local.
-    if (cand.hot[i].version == 0) continue;
+    if (c.version == 0) continue;
     // Forward only first-hand-fresh entries (see tman_forward_age):
     // second-hand copies arrive exactly at the horizon and are never
     // re-forwarded, so rumors about dead or moved members cannot
     // circulate past their last direct confirmation.
-    if (cfg_.tman_ttl > 0 && cand.hot[i].age >= fwd_horizon) continue;
-    out.push_back({cand.hot[i].id, cand.names[i].str(), cand.hot[i].pos,
-                   cand.hot[i].version});
+    if (cfg_.tman_ttl > 0 && c.age >= fwd_horizon) continue;
+    out.push_back({c.id, c.pos, c.version});
   }
   util::ByteWriter w = frame_writer();
   encode_tman(w, header(MsgType::kTmanReq), out);
-  send_to(target.id, target_addr.view(), w.take());
+  send_to(target.id, w.take());
 }
 
 void AsyncNode::handle_tman(const Header& h,
@@ -540,24 +490,23 @@ void AsyncNode::handle_tman(const Header& h,
         descriptors.empty() ? pos_ : descriptors.front().pos;
     auto& out = scratch_->out_descriptors;
     out.clear();
-    out.push_back(WireDescriptor{id_, addr_, pos_, pos_version_});
+    out.push_back(WireDescriptor{id_, pos_, pos_version_});
     auto& cand = scratch_->tman_cand;
     cand.assign(tman_view_);
     rank_closest(cand, sender_pos, cfg_.tman_msg);
     const std::uint32_t fwd_horizon = tman_forward_age(cfg_);
-    for (std::size_t i = 0; i < cand.size(); ++i) {
+    for (const DescriptorHot& c : cand) {
       if (out.size() >= cfg_.tman_msg) break;
-      if (cand.hot[i].id == h.sender) continue;
+      if (c.id == h.sender) continue;
       // Never forward bootstrap placeholders or second-hand entries
       // past the forwarding horizon (see step_tman).
-      if (cand.hot[i].version == 0) continue;
-      if (cfg_.tman_ttl > 0 && cand.hot[i].age >= fwd_horizon) continue;
-      out.push_back({cand.hot[i].id, cand.names[i].str(), cand.hot[i].pos,
-                     cand.hot[i].version});
+      if (c.version == 0) continue;
+      if (cfg_.tman_ttl > 0 && c.age >= fwd_horizon) continue;
+      out.push_back({c.id, c.pos, c.version});
     }
     util::ByteWriter w = frame_writer();
     encode_tman(w, header(MsgType::kTmanResp), out);
-    send_reply(h, w.take());
+    send_to(h.sender, w.take());
   }
   // Merge: dedup by id keeping the freshest version, rank, truncate.  The
   // view's physical cap is tman_view + tman_msg; an in-spec frame (at
@@ -577,21 +526,20 @@ void AsyncNode::handle_tman(const Header& h,
     // from it within the forwarding horizon, so it arrives that old and
     // can lower — never raise — the age we already track.
     const std::uint32_t arrival_age = d.id == h.sender ? 0 : fwd_horizon;
-    const std::size_t i = tman_view_.find(d.id);
+    const std::size_t i = find_id(tman_view_, d.id);
     if (i < tman_view_.size()) {
-      DescriptorHot& e = tman_view_.hot[i];
+      DescriptorHot& e = tman_view_[i];
       if (d.version > e.version) {
         e = DescriptorHot{d.id, d.version, d.pos,
                           std::min(e.age, arrival_age)};
-        tman_view_.names[i].assign(d.addr);
       } else {
         e.age = std::min(e.age, arrival_age);
       }
     } else {
       if (tman_view_.size() >= phys)
         rank_closest(tman_view_, pos_, cfg_.tman_view);
-      tman_view_.push_back(DescriptorHot{d.id, d.version, d.pos, arrival_age},
-                           d.addr);
+      tman_view_.push_back(
+          DescriptorHot{d.id, d.version, d.pos, arrival_age});
     }
   }
   // Rank-and-truncate in one step: only the kept view-cap prefix is
@@ -608,11 +556,10 @@ void AsyncNode::step_backup() {
   while (backups_.size() < cfg_.replication &&
          attempts++ < 4 * cfg_.replication && !rps_view_.empty()) {
     const std::size_t ci = rng_.index(rps_view_.size());
-    const PeerHot& cand = rps_view_.hot[ci];
+    const PeerHot& cand = rps_view_[ci];
     if (cand.id == id_) continue;
-    if (backups_.find(cand.id) < backups_.size()) continue;
-    backups_.push_back(PeerHot{cand.id, 0, cand.pos, cand.version},
-                       rps_view_.names[ci]);
+    if (find_id(backups_, cand.id) < backups_.size()) continue;
+    backups_.push_back(PeerHot{cand.id, 0, cand.pos, cand.version});
   }
   // Push guests (full copy; doubles as the origin's heartbeat).  Iterate
   // over a scratch copy: send failures mutate backups_ via
@@ -624,10 +571,10 @@ void AsyncNode::step_backup() {
   util::ByteWriter master(std::move(scratch_->frame));
   encode_backup_push(master, header(MsgType::kBackupPush), wire_guests());
   scratch_->frame = master.take();
-  for (std::size_t i = 0; i < targets.size(); ++i) {
+  for (const PeerHot& t : targets) {
     util::ByteWriter w = frame_writer();
     w.bytes(scratch_->frame.data(), scratch_->frame.size());
-    send_to(targets.hot[i].id, targets.names[i].view(), w.take());
+    send_to(t.id, w.take());
   }
 }
 
@@ -635,7 +582,6 @@ void AsyncNode::handle_backup_push(const Header& h,
                                    const std::vector<WirePoint>& guests) {
   GhostTable::Slot& slot = ghosts_.find_or_insert(h.sender);
   to_point_set_into(guests, slot.points);
-  slot.addr.assign(h.sender_addr);
   slot.last_push = clock_now();
 }
 
@@ -666,27 +612,26 @@ void AsyncNode::step_migration() {
   // one random peer from the sampling view (Algorithm 3).
   auto& candidates = scratch_->mig_candidates;
   candidates.clear();
-  for (std::size_t i = 0; i < tman_view_.size(); ++i) {
+  for (const DescriptorHot& d : tman_view_) {
     if (candidates.size() >= cfg_.psi) break;
-    candidates.push_back({tman_view_.hot[i].id, tman_view_.names[i]});
+    candidates.push_back(d.id);
   }
   if (!rps_view_.empty()) {
-    const std::size_t ri = rng_.index(rps_view_.size());
-    const LiveNodeId rid = rps_view_.hot[ri].id;
+    const LiveNodeId rid = rps_view_[rng_.index(rps_view_.size())].id;
     if (rid != id_ &&
-        std::none_of(candidates.begin(), candidates.end(),
-                     [&](const auto& c) { return c.id == rid; }))
-      candidates.push_back({rid, rps_view_.names[ri]});
+        std::find(candidates.begin(), candidates.end(), rid) ==
+            candidates.end())
+      candidates.push_back(rid);
   }
   if (candidates.empty() || guests_.empty()) return;
 
-  const auto& q = candidates[rng_.index(candidates.size())];
+  const LiveNodeId q = candidates[rng_.index(candidates.size())];
   migrating_ = true;
-  migrate_partner_ = q.id;
+  migrate_partner_ = q;
   migrate_ticks_left_ = 4;
   util::ByteWriter w = frame_writer();
   encode_migrate_req(w, header(MsgType::kMigrateReq), pos_, wire_guests());
-  if (!send_to(q.id, q.addr.view(), w.take())) {
+  if (!send_to(q, w.take())) {
     migrating_ = false;
   }
 }
@@ -699,7 +644,7 @@ void AsyncNode::handle_migrate_req(const Header& h,
     util::ByteWriter w = frame_writer();
     encode_migrate_resp(w, header(MsgType::kMigrateResp),
                         /*accepted=*/false, {});
-    send_reply(h, w.take());
+    send_to(h.sender, w.take());
     return;
   }
   // Pool and split: we keep for_q, the initiator gets for_p back.
@@ -715,7 +660,7 @@ void AsyncNode::handle_migrate_req(const Header& h,
   util::ByteWriter w = frame_writer();
   encode_migrate_resp(w, header(MsgType::kMigrateResp),
                       /*accepted=*/true, scratch_->out_points);
-  send_reply(h, w.take());
+  send_to(h.sender, w.take());
 }
 
 void AsyncNode::handle_migrate_resp(const Header& h, bool accepted,
@@ -751,8 +696,7 @@ AsyncNode::ViewHop AsyncNode::closest_view_member(
     void* ctx) const {
   util::MutexLock lk(state_mu_);
   ViewHop best;
-  for (std::size_t i = 0; i < tman_view_.size(); ++i) {
-    const DescriptorHot& d = tman_view_.hot[i];
+  for (const DescriptorHot& d : tman_view_) {
     if (accept != nullptr && !accept(ctx, d.id)) continue;
     const double dist = space_->distance(d.pos, target);
     if (!best.found || dist < best.distance ||
@@ -770,10 +714,7 @@ void AsyncNode::for_each_view_member(
                std::uint64_t version),
     void* ctx) const {
   util::MutexLock lk(state_mu_);
-  for (std::size_t i = 0; i < tman_view_.size(); ++i) {
-    const DescriptorHot& d = tman_view_.hot[i];
-    fn(ctx, d.id, d.pos, d.version);
-  }
+  for (const DescriptorHot& d : tman_view_) fn(ctx, d.id, d.pos, d.version);
 }
 
 core::PointSet AsyncNode::guests() const {
@@ -818,14 +759,10 @@ LiveCluster::LiveCluster(std::shared_ptr<const space::MetricSpace> space,
       points_(points),
       cfg_(config),
       seed_(seed),
-      use_tcp_(use_tcp) {
+      use_tcp_(use_tcp),
+      directory_(std::make_shared<AddressDirectory>()) {
   if (!use_tcp_) hub_ = InProcHub::create();
   util::Rng rng(seed);
-
-  auto make_transport = [&](std::size_t i) -> std::unique_ptr<Transport> {
-    if (use_tcp_) return std::make_unique<TcpTransport>();
-    return hub_->make_endpoint("node-" + std::to_string(i));
-  };
 
   for (std::size_t i = 0; i < points_.size(); ++i) {
     nodes_.push_back(std::make_unique<AsyncNode>(
@@ -835,15 +772,25 @@ LiveCluster::LiveCluster(std::shared_ptr<const space::MetricSpace> space,
   }
   // Bootstrap: every node learns a random sample of contacts.
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    std::vector<Seed> seeds;
+    std::vector<LiveNodeId> seeds;
     for (std::size_t j :
          rng.sample_indices(nodes_.size(),
                             std::min(cfg_.rps_view, nodes_.size())))
-      if (j != i)
-        seeds.push_back(Seed{static_cast<LiveNodeId>(j),
-                             nodes_[j]->address()});
+      if (j != i) seeds.push_back(static_cast<LiveNodeId>(j));
     nodes_[i]->bootstrap(seeds);
   }
+}
+
+std::unique_ptr<Transport> LiveCluster::make_transport(std::size_t idx) {
+  const auto id = static_cast<LiveNodeId>(idx);
+  if (use_tcp_) {
+    auto tcp = std::make_unique<TcpTransport>(directory_);
+    directory_->set(id, tcp->address());
+    return tcp;
+  }
+  const Address addr = "node-" + std::to_string(idx);
+  directory_->set(id, addr);
+  return hub_->make_endpoint(addr, directory_);
 }
 
 LiveCluster::~LiveCluster() { stop(); }
@@ -888,20 +835,15 @@ std::vector<space::Point> LiveCluster::alive_positions() const {
 std::size_t LiveCluster::inject(const space::Point& pos) {
   util::Rng rng(seed_ ^ (0x9e37u + nodes_.size()));
   const auto idx = nodes_.size();
-  std::unique_ptr<Transport> transport =
-      use_tcp_ ? std::unique_ptr<Transport>(std::make_unique<TcpTransport>())
-               : std::unique_ptr<Transport>(
-                     hub_->make_endpoint("node-" + std::to_string(idx)));
   auto node = std::make_unique<AsyncNode>(
-      static_cast<LiveNodeId>(idx), space_, std::move(transport),
+      static_cast<LiveNodeId>(idx), space_, make_transport(idx),
       std::nullopt, cfg_, rng.next_u64());
   // A fresh node starts at its assigned position until migration hands it
   // guests; seed it from the alive population.
-  std::vector<Seed> seeds;
+  std::vector<LiveNodeId> seeds;
   for (std::size_t j = 0; j < nodes_.size() && seeds.size() < cfg_.rps_view;
        ++j)
-    if (!crashed_[j])
-      seeds.push_back(Seed{static_cast<LiveNodeId>(j), nodes_[j]->address()});
+    if (!crashed_[j]) seeds.push_back(static_cast<LiveNodeId>(j));
   node->bootstrap(seeds);
   node->start();
   nodes_.push_back(std::move(node));

@@ -20,12 +20,12 @@
 // removes anyway.
 //
 // Memory layout (see docs/ARCHITECTURE.md, "Per-node memory layout"): a
-// node's protocol state — RPS/T-Man views, backup targets, ghost table,
-// endpoint cache — lives in util::Arena storage with caps derived from
-// AsyncConfig, hot/cold split per net/view_storage.hpp.  The call-scoped
-// working buffers live in an AsyncScratch that single-threaded drivers
-// (the engine fleets) share across every node, so the steady state holds
-// zero per-node heap vectors.
+// node's protocol state — RPS/T-Man views, backup targets, ghost table —
+// lives in util::Arena storage with caps derived from AsyncConfig (see
+// net/view_storage.hpp).  Peers are node ids throughout; the transport
+// routes them.  The call-scoped working buffers live in an AsyncScratch
+// that single-threaded drivers (the engine fleets) share across every
+// node, so the steady state holds zero per-node heap vectors.
 #pragma once
 
 #include <chrono>
@@ -99,12 +99,6 @@ inline std::uint32_t tman_forward_age(const AsyncConfig& cfg) {
   return static_cast<std::uint32_t>(cfg.tman_ttl / 2);
 }
 
-/// A contactable peer: identity + transport address.
-struct Seed {
-  LiveNodeId id;
-  Address addr;
-};
-
 /// Call-scoped working buffers: decoded incoming lists, outgoing staging,
 /// rank/sample/frame scratch.  Nothing in here survives a protocol call,
 /// so a single instance can serve every node driven from one thread — the
@@ -132,11 +126,7 @@ struct AsyncScratch {
   util::KeepClosestScratch rank_keys;    // (distance, index) rank staging
   DescriptorList tman_cand, rank_tmp;    // buffer-build + rank gather
   PeerList backup_targets;               // step_backup staging
-  struct MigCandidate {
-    LiveNodeId id = 0;
-    InlineAddr addr;
-  };
-  util::ArenaVec<MigCandidate> mig_candidates;
+  util::ArenaVec<LiveNodeId> mig_candidates;
 
   void bind(util::Arena& arena, const AsyncConfig& cfg);
 };
@@ -162,8 +152,8 @@ class AsyncNode {
   AsyncNode(const AsyncNode&) = delete;
   AsyncNode& operator=(const AsyncNode&) = delete;
 
-  /// Introduces bootstrap contacts (call before start()).
-  void bootstrap(const std::vector<Seed>& seeds);
+  /// Introduces bootstrap contacts by node id (call before start()).
+  void bootstrap(const std::vector<LiveNodeId>& seeds);
 
   // ---- engine drive -----------------------------------------------------
 
@@ -193,10 +183,9 @@ class AsyncNode {
   /// contact failures and stale backups, exactly like a process kill.
   void crash();
 
-  /// Rejoins a crashed node under a fresh transport registered at the
-  /// *same address* (endpoint ids are never reused, so the node comes back
-  /// under a new id; peers' cached ids for the old life fail like any dead
-  /// endpoint and re-resolve by name).  All protocol state survives as-is:
+  /// Rejoins a crashed node under a fresh transport that routes the same
+  /// node id (peers keep addressing it by id; frames still in flight to
+  /// the old life are discarded).  All protocol state survives as-is:
   /// the node restarts with its pre-crash — now stale — views, guests and
   /// backups, like a process restarted from a warm checkpoint.  Any
   /// half-open migration handshake is abandoned.  No-op unless crashed;
@@ -206,7 +195,6 @@ class AsyncNode {
   // ---- thread-safe inspection ------------------------------------------
 
   LiveNodeId id() const noexcept { return id_; }
-  Address address() const { return transport_->address(); }
   space::Point position() const;
 
   /// The T-Man view member closest to `target` (the greedy-routing
@@ -216,8 +204,8 @@ class AsyncNode {
   /// filter skips entries (the traffic plane rejects crashed members —
   /// modelling a sender that times out on a dead neighbour and tries its
   /// next candidate; a plain function pointer keeps the hot path
-  /// allocation-free).  The RPS view is not consulted — its entries carry
-  /// no positions (PeerHot is id+age only).
+  /// allocation-free).  The RPS view is not consulted: its positions are
+  /// random-sample hearsay, not the ranked neighbourhood.
   struct ViewHop {
     LiveNodeId id = 0;
     double distance = 0.0;
@@ -239,7 +227,7 @@ class AsyncNode {
   std::size_t backup_target_count() const;
   /// Heap bytes owned by this node's state outside the arena: the guest
   /// set plus the ghost tables' PointSets (the data plane; the control
-  /// plane — views, targets, cache — is all arena memory).
+  /// plane — views and targets — is all arena memory).
   std::size_t state_heap_bytes() const;
   /// Frames dropped at the decode boundary (util::CodecError): malformed,
   /// truncated or corrupted input that never reached a handler.  Zero on
@@ -287,23 +275,13 @@ class AsyncNode {
   void step_migration() REQUIRES(state_mu_);
   void reproject() REQUIRES(state_mu_);
 
-  /// Marks a peer dead after a contact failure: purges it from views,
-  /// backups, the endpoint cache, and (if it was a ghost origin) triggers
-  /// recovery.
+  /// Marks a peer dead after a contact failure: purges it from views and
+  /// backups, and aborts a migration handshake with it.
   void peer_unreachable(LiveNodeId peer) REQUIRES(state_mu_);
 
-  /// Sends a frame; on failure marks the peer unreachable.  Caller must
-  /// hold state_mu_.  Prefers the transport's interned-id fast path (a
-  /// direct-mapped per-node cache, no per-send string work); falls back
-  /// to a by-name send on transports without interning.
-  bool send_to(LiveNodeId peer, std::string_view addr,
-               std::vector<std::uint8_t> frame) REQUIRES(state_mu_);
-
-  /// Sends a reply to the sender of the message currently being handled.
-  /// Uses the delivering transport's interned sender id when the header's
-  /// advertised address matches the transport-level source (always true
-  /// in-tree), avoiding a per-reply by-name lookup.
-  bool send_reply(const Header& h, std::vector<std::uint8_t> frame)
+  /// Sends a frame to node `peer`; on failure marks the peer unreachable.
+  /// Caller must hold state_mu_.
+  bool send_to(LiveNodeId peer, std::vector<std::uint8_t> frame)
       REQUIRES(state_mu_);
 
   /// A ByteWriter over a transport-pooled buffer (the frame-encode path).
@@ -323,7 +301,6 @@ class AsyncNode {
   const LiveNodeId id_;
   std::shared_ptr<const space::MetricSpace> space_;
   std::unique_ptr<Transport> transport_;
-  Address addr_;  // cached transport_->address()
   AsyncConfig cfg_;
   // Drive mode: written before start() (under stop_mu_), immutable once
   // the node runs — clock_now() reads clock_ lock-free on that contract.
@@ -331,9 +308,8 @@ class AsyncNode {
   ClockFn clock_;
 
   /// Guards all protocol state below (views, guests, ghosts, migration
-  /// handshake, the scratch buffers, the endpoint cache) across the two
-  /// threads that touch it: the ticker (on_tick) and the transport pump
-  /// (on_message).
+  /// handshake, the scratch buffers) across the two threads that touch
+  /// it: the ticker (on_tick) and the transport pump (on_message).
   mutable util::Mutex state_mu_;
   util::Rng rng_ GUARDED_BY(state_mu_);
 
@@ -377,27 +353,6 @@ class AsyncNode {
   /// on_message's CodecError catch.
   std::uint64_t frames_rejected_ GUARDED_BY(state_mu_) = 0;
 
-  // Reply fast path: the interned sender id and transport-level source
-  // address of the message currently in on_message (null outside it).
-  EndpointId reply_ep_ GUARDED_BY(state_mu_) = kInvalidEndpointId;
-  const Address* reply_from_ GUARDED_BY(state_mu_) = nullptr;
-
-  // Interned-endpoint cache, direct-mapped by peer id: peer -> transport
-  // endpoint id, filled on first send, invalidated when the peer becomes
-  // unreachable, evicted by collision.  A node's per-tick contacts are a
-  // handful of stable ids (tman target, K backups, migration partner)
-  // plus one churning RPS target, so 32 slots cover the stable set; a
-  // collision just re-resolves.  Peer ids are never reused by the
-  // clusters, so a cached id is never stale in the dangerous direction
-  // (it can only point at a dead endpoint, where send fails exactly like
-  // the by-name path would).
-  struct EpCacheSlot {
-    LiveNodeId id = 0;
-    EndpointId ep = kInvalidEndpointId;
-  };
-  static constexpr std::size_t kEpCacheSlots = 32;
-  util::ArenaVec<EpCacheSlot> ep_cache_ GUARDED_BY(state_mu_);
-
   // Lifecycle.
   std::thread ticker_;
   util::CondVar stop_cv_;
@@ -408,8 +363,9 @@ class AsyncNode {
 };
 
 /// Convenience: builds, bootstraps (full mesh of seeds) and starts a fleet
-/// of in-process nodes over a shared hub.  Used by tests and the
-/// live_async example.
+/// of in-process (or TCP) nodes.  The cluster owns the id → address
+/// directory its transports route through, filled as nodes are created.
+/// Used by tests and the live_async example.
 class LiveCluster {
  public:
   /// One node per data point; all nodes know `fanout` random seeds.
@@ -455,6 +411,8 @@ class LiveCluster {
 
  private:
   std::vector<FleetNodeState> alive_states() const;
+  /// A transport for node `idx`, its address recorded in the directory.
+  std::unique_ptr<Transport> make_transport(std::size_t idx);
 
   std::shared_ptr<const space::MetricSpace> space_;
   std::vector<space::DataPoint> points_;
@@ -462,6 +420,7 @@ class LiveCluster {
   std::uint64_t seed_;
   bool use_tcp_;
   std::shared_ptr<class InProcHub> hub_;
+  std::shared_ptr<AddressDirectory> directory_;
   std::vector<std::unique_ptr<AsyncNode>> nodes_;
   std::vector<bool> crashed_;
 };

@@ -56,7 +56,8 @@ bool parse_address(const Address& addr, sockaddr_in& out) {
 
 }  // namespace
 
-TcpTransport::TcpTransport() {
+TcpTransport::TcpTransport(std::shared_ptr<const AddressDirectory> directory)
+    : directory_(std::move(directory)) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) throw std::runtime_error("TcpTransport: socket failed");
   const int one = 1;
@@ -101,15 +102,13 @@ void TcpTransport::accept_loop() {
 
 void TcpTransport::read_loop(int fd) {
   for (;;) {
-    std::uint32_t lengths[2];  // payload length, from-address length
-    if (!read_all(fd, lengths, sizeof lengths)) break;
-    if (lengths[0] > kMaxFrame || lengths[1] > 1024) {
+    std::uint32_t length = 0;
+    if (!read_all(fd, &length, sizeof length)) break;
+    if (length > kMaxFrame) {
       util::log_warn("TcpTransport: oversized frame dropped, closing");
       break;
     }
-    std::string from(lengths[1], '\0');
-    if (!read_all(fd, from.data(), from.size())) break;
-    std::vector<std::uint8_t> payload(lengths[0]);
+    std::vector<std::uint8_t> payload(length);
     if (!read_all(fd, payload.data(), payload.size())) break;
 
     MessageHandler handler;
@@ -118,7 +117,7 @@ void TcpTransport::read_loop(int fd) {
       handler = handler_;
     }
     if (handler && !stopped_.load()) {
-      Message msg{std::move(from), std::move(payload)};
+      Message msg{std::move(payload)};
       handler(msg);
     }
   }
@@ -127,14 +126,15 @@ void TcpTransport::read_loop(int fd) {
   ::shutdown(fd, SHUT_RDWR);
 }
 
-int TcpTransport::connection_to(const Address& to) {
+int TcpTransport::connection_to(LiveNodeId to) {
   {
     util::MutexLock lk(conn_mu_);
     auto it = outgoing_.find(to);
     if (it != outgoing_.end()) return it->second;
   }
+  const std::optional<Address> name = directory_->find(to);
   sockaddr_in addr{};
-  if (!parse_address(to, addr)) return -1;
+  if (!name || !parse_address(*name, addr)) return -1;
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
   const int one = 1;
@@ -152,29 +152,17 @@ int TcpTransport::connection_to(const Address& to) {
   return it->second;
 }
 
-void TcpTransport::drop_connection(const Address& to) {
-  util::MutexLock lk(conn_mu_);
-  auto it = outgoing_.find(to);
-  if (it != outgoing_.end()) {
-    ::close(it->second);
-    outgoing_.erase(it);
-  }
-}
-
-bool TcpTransport::send(const Address& to, std::vector<std::uint8_t> payload) {
+bool TcpTransport::send(LiveNodeId to, std::vector<std::uint8_t> payload) {
   if (stopped_.load()) return false;
   for (int attempt = 0; attempt < 2; ++attempt) {
     const int fd = connection_to(to);
     if (fd < 0) return false;
-    const std::uint32_t lengths[2] = {
-        static_cast<std::uint32_t>(payload.size()),
-        static_cast<std::uint32_t>(address_.size())};
+    const auto length = static_cast<std::uint32_t>(payload.size());
     util::MutexLock lk(conn_mu_);
     // Re-check the cached fd is still ours (shutdown/drop race).
     auto it = outgoing_.find(to);
     if (it == outgoing_.end() || it->second != fd) continue;
-    if (write_all(fd, lengths, sizeof lengths) &&
-        write_all(fd, address_.data(), address_.size()) &&
+    if (write_all(fd, &length, sizeof length) &&
         write_all(fd, payload.data(), payload.size()))
       return true;
     // Stale connection (peer restarted/crashed): drop and retry once.
@@ -193,7 +181,7 @@ void TcpTransport::shutdown() {
     util::MutexLock lk(conn_mu_);
     // DETLINT-ALLOW(unordered-iter): teardown-only close() of every cached
     // socket; close order is invisible to peers and nothing is derived
-    for (auto& [addr, fd] : outgoing_) ::close(fd);
+    for (auto& [node, fd] : outgoing_) ::close(fd);
     outgoing_.clear();
   }
   std::vector<Reader> readers;

@@ -2,10 +2,11 @@
 //
 // The paper's system model is "message-passing nodes that communicate over
 // reliable channels (e.g. TCP)" (§III-A).  This transport provides exactly
-// that: each endpoint listens on 127.0.0.1:<ephemeral-port>; outgoing
-// connections are cached per destination; frames are
+// that: each endpoint listens on 127.0.0.1:<ephemeral-port>; a send names
+// a node id, resolved to "host:port" through the endpoint's
+// AddressDirectory when no connection to that node is cached; frames are
 //
-//     u32 payload_length | u32 from_length | from_addr | payload
+//     u32 payload_length | payload
 //
 // Send failures (connection refused / peer closed) return false, which the
 // async runtime uses as its contact-failure signal — the same signal the
@@ -14,6 +15,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -25,24 +27,26 @@ namespace poly::net {
 
 class TcpTransport final : public Transport {
  public:
-  /// Binds to 127.0.0.1 on an ephemeral port and starts the accept loop.
-  /// Throws std::runtime_error if the socket cannot be created/bound.
-  TcpTransport();
+  /// Binds to 127.0.0.1 on an ephemeral port and starts the accept loop;
+  /// sends resolve node ids through `directory`.  Throws
+  /// std::runtime_error if the socket cannot be created/bound.
+  explicit TcpTransport(std::shared_ptr<const AddressDirectory> directory);
   ~TcpTransport() override;
 
-  Address address() const override { return address_; }
+  /// This endpoint's "127.0.0.1:port" (what a directory records for it).
+  const Address& address() const noexcept { return address_; }
   void set_handler(MessageHandler handler) override;
-  bool send(const Address& to, std::vector<std::uint8_t> payload) override;
+  bool send(LiveNodeId to, std::vector<std::uint8_t> payload) override;
   void shutdown() override;
 
  private:
   void accept_loop();
   void read_loop(int fd);
-  /// Returns a connected socket to `to` (cached), or -1.
-  int connection_to(const Address& to);
-  void drop_connection(const Address& to);
+  /// Returns a connected socket to node `to` (cached), or -1.
+  int connection_to(LiveNodeId to);
 
   Address address_;
+  std::shared_ptr<const AddressDirectory> directory_;
   int listen_fd_ = -1;
   std::thread accept_thread_;
 
@@ -53,7 +57,7 @@ class TcpTransport final : public Transport {
   /// (write_all under conn_mu_ keeps concurrent sends from interleaving
   /// one frame inside another).
   util::Mutex conn_mu_;
-  std::unordered_map<Address, int> outgoing_ GUARDED_BY(conn_mu_);
+  std::unordered_map<LiveNodeId, int> outgoing_ GUARDED_BY(conn_mu_);
 
   struct Reader {
     int fd;

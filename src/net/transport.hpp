@@ -2,7 +2,7 @@
 //
 // The paper assumes "message-passing nodes that communicate over reliable
 // channels (e.g. TCP)" (§III-A) but evaluates in a round-based simulator.
-// This module supplies the real substrate: an address-based transport with
+// This module supplies the real substrate: a node-addressed transport with
 // reliable in-order delivery per sender-receiver pair.  Implementations:
 //
 //   * InProcTransport — thread-safe mailboxes inside one process; used by
@@ -14,38 +14,39 @@
 // Delivery is callback-based: the transport invokes the registered handler
 // on its own thread(s); handlers must be thread-safe.
 //
-// Interned addressing (the engine hot path): string addresses are the
-// portable identity, but hashing one per send is measurable at 100k-node
-// scale, so a transport may intern addresses into dense `EndpointId`s.
-// `resolve()` maps an address to its id once; `send(EndpointId, ...)` then
-// skips the by-name lookup.  Ids are stable for the lifetime of the
-// network and never reused, so a cached id either reaches the same
-// endpoint or fails like any send to a crashed peer.
+// Addressing: peers are node ids end to end, as in the paper's protocol
+// (§III).  Views, gossip and frame headers carry only ids, and `send`
+// takes the destination's id.  Turning an id into something routable is
+// the transport's business: the engine hub keeps a flat node-id → live
+// endpoint table, and the live transports resolve ids through an
+// AddressDirectory (id → "host:port" or registry key) that their cluster
+// fills.  An id a transport cannot resolve — never registered, crashed,
+// or beyond the table (a corrupted frame can plant any id) — is a contact
+// failure: `send` returns false.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "util/thread_annotations.hpp"
+
 namespace poly::net {
 
-/// Opaque endpoint address.  For InProcTransport this is a registry key;
-/// for TcpTransport a "host:port" string.
+/// Logical node identity in the live runtime: what views hold, what the
+/// wire carries, and what a Transport sends to.
+using LiveNodeId = std::uint64_t;
+
+/// Opaque endpoint address of a live transport.  For InProcTransport this
+/// is a registry key; for TcpTransport a "host:port" string.
 using Address = std::string;
 
-/// Dense interned form of an Address (transports that support it).
-using EndpointId = std::uint32_t;
-inline constexpr EndpointId kInvalidEndpointId = 0xffffffffu;
-
-/// A received datagram-style message (framing is the transport's job).
+/// A received datagram-style message (framing is the transport's job; the
+/// sender's identity travels inside the payload's protocol header).
 struct Message {
-  Address from;
   std::vector<std::uint8_t> payload;
-  /// Interned id of `from` on the receiving transport, when the transport
-  /// knows it (engine hub deliveries); kInvalidEndpointId otherwise.
-  /// Receivers can reply through it without a by-name lookup.
-  EndpointId from_ep = kInvalidEndpointId;
 };
 
 /// Handler invoked on message arrival (on a transport thread).  The
@@ -60,34 +61,15 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// The address peers can send to.
-  virtual Address address() const = 0;
-
   /// Registers the receive callback.  Must be called before messages are
   /// expected; replacing the handler is allowed between quiescent points.
   virtual void set_handler(MessageHandler handler) = 0;
 
-  /// Sends `payload` to `to`.  Returns false if the destination is
-  /// unreachable (unknown address, connection refused, peer closed).
-  /// Reliable transports never silently drop an accepted message.
-  virtual bool send(const Address& to, std::vector<std::uint8_t> payload) = 0;
-
-  /// Interns `to` into a dense endpoint id, when this transport supports
-  /// interned addressing and the address is currently registered.
-  /// Default: unsupported (kInvalidEndpointId) — callers fall back to
-  /// string sends.
-  virtual EndpointId resolve(const Address& to) const {
-    (void)to;
-    return kInvalidEndpointId;
-  }
-
-  /// Sends to an interned endpoint id previously returned by resolve().
-  /// Same semantics as the string overload; default: unsupported (false).
-  virtual bool send(EndpointId to, std::vector<std::uint8_t> payload) {
-    (void)to;
-    (void)payload;
-    return false;
-  }
+  /// Sends `payload` to node `to`.  Returns false if the node is
+  /// unreachable (unknown or out-of-range id, connection refused, peer
+  /// closed).  Reliable transports never silently drop an accepted
+  /// message.
+  virtual bool send(LiveNodeId to, std::vector<std::uint8_t> payload) = 0;
 
   /// A payload buffer to encode the next frame into — recycled from the
   /// transport's pool when it keeps one (empty, but typically with the
@@ -96,6 +78,23 @@ class Transport {
 
   /// Stops delivering messages and releases resources.  Idempotent.
   virtual void shutdown() = 0;
+};
+
+/// The live transports' node-id → address table.  A cluster fills it as
+/// nodes are created; transports read it on every send that needs a
+/// fresh route.  Thread-safe.
+class AddressDirectory {
+ public:
+  /// Records `id`'s address (grows the table as needed).
+  void set(LiveNodeId id, Address addr);
+
+  /// `id`'s address; nullopt when `id` is beyond the table or was never
+  /// set.
+  std::optional<Address> find(LiveNodeId id) const;
+
+ private:
+  mutable util::Mutex mu_;
+  std::vector<Address> addrs_ GUARDED_BY(mu_);
 };
 
 }  // namespace poly::net

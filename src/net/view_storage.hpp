@@ -2,15 +2,11 @@
 //
 // AsyncNode's protocol state is a handful of small bounded lists: the RPS
 // view (<= rps_view entries), the ranked T-Man view (<= tman_view), the
-// backup target list (<= K) and the ghost table (~K entries).  This module
-// gives them a hot/cold split over util::Arena storage:
-//
-//   * hot arrays hold exactly what the per-tick loops touch — ids, ages,
-//     versions, positions — as trivially copyable structs packed in arena
-//     memory (PeerHot 16 B, DescriptorHot 48 B);
-//   * cold arrays hold the transport names as fixed-capacity InlineAddr
-//     records, kept index-parallel to the hot array.  Ranking, merging and
-//     aging never read them; only the send path does.
+// backup target list (<= K) and the ghost table (~K entries).  The views
+// are plain util::ArenaVec arrays of trivially copyable entries — ids,
+// ages, versions, positions (PeerHot 56 B, DescriptorHot 56 B).  Peers are
+// node ids only: no transport name is stored beside an entry, since the
+// transport routes ids itself (net/transport.hpp).
 //
 // The caps come from AsyncConfig, so the entire view footprint is known at
 // node construction and carved from the cluster's arena in one pass —
@@ -29,10 +25,7 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <new>
-#include <string>
-#include <string_view>
 
 #include "core/point_set.hpp"
 #include "net/messages.hpp"
@@ -41,29 +34,9 @@
 
 namespace poly::net {
 
-/// A transport address stored inline (no heap): covers the in-tree name
-/// schemes ("node-<id>", "ip:port") with room to spare.  Longer addresses
-/// are truncated — a documented limit of the arena-backed views, checked
-/// by the runtime when peers are admitted.
-struct InlineAddr {
-  static constexpr std::size_t kCap = 23;
-
-  std::uint8_t len = 0;
-  char buf[kCap] = {};
-
-  void assign(std::string_view s) {
-    len = static_cast<std::uint8_t>(s.size() < kCap ? s.size() : kCap);
-    std::memcpy(buf, s.data(), len);
-  }
-
-  std::string_view view() const noexcept { return {buf, len}; }
-  std::string str() const { return std::string(buf, len); }
-};
-static_assert(sizeof(InlineAddr) == 24, "InlineAddr layout drifted");
-
-/// Hot half of an RPS view entry: what aging, sampling and merge
-/// compare, plus the peer's last known topology descriptor (see
-/// WirePeer — `version == 0` means the position is unknown).
+/// An RPS view entry: what aging, sampling and merge compare, plus the
+/// peer's last known topology descriptor (see WirePeer — `version == 0`
+/// means the position is unknown).
 struct PeerHot {
   LiveNodeId id = 0;
   std::uint32_t age = 0;
@@ -71,7 +44,7 @@ struct PeerHot {
   std::uint64_t version = 0;
 };
 
-/// Hot half of a T-Man view entry: what ranking and merge compare.
+/// A T-Man view entry: what ranking and merge compare.
 ///
 /// `age` is purely local state (never on the wire): ticks since the
 /// entry was last refreshed.  First-hand contact (the member itself
@@ -87,78 +60,20 @@ struct DescriptorHot {
   std::uint32_t age = 0;
 };
 
-/// An index-parallel (hot entries, cold names) pair over arena storage.
-/// Every mutation keeps the two arrays in lockstep.
-template <typename Hot>
-struct SoaList {
-  util::ArenaVec<Hot> hot;
-  util::ArenaVec<InlineAddr> names;
+static_assert(sizeof(PeerHot) == 56 && sizeof(DescriptorHot) == 56,
+              "view entry layout drifted (update the arena-footprint test)");
 
-  void bind(util::Arena& arena, std::uint32_t cap) {
-    hot.bind(arena, cap);
-    names.bind(arena, cap);
-  }
+using PeerList = util::ArenaVec<PeerHot>;
+using DescriptorList = util::ArenaVec<DescriptorHot>;
 
-  std::size_t size() const noexcept { return hot.size(); }
-  bool empty() const noexcept { return hot.empty(); }
-  void clear() noexcept {
-    hot.clear();
-    names.clear();
-  }
-
-  void push_back(const Hot& h, std::string_view addr) {
-    hot.push_back(h);
-    names.push_back(InlineAddr{});
-    names.back().assign(addr);
-  }
-
-  void push_back(const Hot& h, const InlineAddr& addr) {
-    hot.push_back(h);
-    names.push_back(addr);
-  }
-
-  void erase(std::size_t i) noexcept {
-    hot.erase(i);
-    names.erase(i);
-  }
-
-  /// Removes every entry whose hot half satisfies `pred` (order kept).
-  template <typename Pred>
-  void erase_if(Pred pred) noexcept {
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < hot.size(); ++i) {
-      if (pred(hot[i])) continue;
-      if (out != i) {
-        hot[out] = hot[i];
-        names[out] = names[i];
-      }
-      ++out;
-    }
-    hot.resize(out);
-    names.resize(out);
-  }
-
-  /// Linear id lookup (views hold <= ~24 entries; a scan over 16-byte
-  /// strides beats any index).  Returns size() when absent.
-  std::size_t find(LiveNodeId id) const noexcept {
-    for (std::size_t i = 0; i < hot.size(); ++i)
-      if (hot[i].id == id) return i;
-    return hot.size();
-  }
-
-  void assign(const SoaList& o) {
-    hot.assign(o.hot);
-    names.assign(o.names);
-  }
-
-  void swap(SoaList& o) noexcept {
-    hot.swap(o.hot);
-    names.swap(o.names);
-  }
-};
-
-using PeerList = SoaList<PeerHot>;
-using DescriptorList = SoaList<DescriptorHot>;
+/// Linear id lookup (views hold <= ~24 entries; a scan beats any index).
+/// Returns v.size() when absent.
+template <typename Entry>
+std::size_t find_id(const util::ArenaVec<Entry>& v, LiveNodeId id) noexcept {
+  for (std::size_t i = 0; i < v.size(); ++i)
+    if (v[i].id == id) return i;
+  return v.size();
+}
 
 /// Ghost sets keyed by origin id, slots in arena memory sorted ascending
 /// by origin (the recovery merge order the old flat vector / std::map
@@ -170,7 +85,6 @@ class GhostTable {
   struct Slot {
     LiveNodeId origin = 0;
     std::chrono::steady_clock::time_point last_push{};
-    InlineAddr addr;
     core::PointSet points;
   };
 
@@ -190,7 +104,7 @@ class GhostTable {
   const Slot& operator[](std::size_t i) const noexcept { return slots_[i]; }
 
   /// The slot for `origin`, inserted in sorted position if absent.  The
-  /// caller owns resetting points/addr/last_push on a fresh slot (a
+  /// caller owns resetting points/last_push on a fresh slot (a
   /// recycled slot may carry a retired origin's stale fields).
   Slot& find_or_insert(LiveNodeId origin) {
     const std::size_t pos = lower_bound(origin);

@@ -158,6 +158,15 @@ class ArenaVec {
     --size_;
   }
 
+  /// Removes every element satisfying `pred` (order kept).
+  template <typename Pred>
+  void erase_if(Pred pred) noexcept {
+    std::uint32_t out = 0;
+    for (std::uint32_t i = 0; i < size_; ++i)
+      if (!pred(data_[i])) data_[out++] = data_[i];
+    size_ = out;
+  }
+
   /// Copies `o`'s contents (sizes up if needed).  The staging idiom for
   /// scratch copies of bound views.
   void assign(const ArenaVec& o) {

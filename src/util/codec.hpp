@@ -79,15 +79,6 @@ class ByteReader {
     return s;
   }
 
-  /// Reads a string into `s` (reusing its capacity) — the scratch-decode
-  /// path of the message layer.
-  void str_into(std::string& s) {
-    const std::uint32_t n = u32();
-    require(n);
-    s.assign(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-  }
-
   std::size_t remaining() const noexcept { return size_ - pos_; }
   bool done() const noexcept { return pos_ == size_; }
 

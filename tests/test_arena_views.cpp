@@ -142,9 +142,11 @@ TEST(GhostTable, KeepsAscendingOrderAndRecyclesCapacity) {
 
 // ---- cap enforcement under hostile gossip -----------------------------------
 
-/// A one-node fixture over an EngineHub, plus a raw attacker endpoint that
-/// can deliver arbitrary crafted frames to the node.
+/// A one-node fixture over an EngineHub, plus a raw attacker endpoint (node
+/// id kAttacker) that can deliver arbitrary crafted frames to the node.
 struct HostileRig {
+  static constexpr net::LiveNodeId kNode = 1;
+  static constexpr net::LiveNodeId kAttacker = 999;
   engine::EventEngine engine{7};
   engine::EngineHub hub{engine, std::make_unique<engine::UniformLatency>(
                                     std::chrono::duration_cast<engine::SimTime>(2ms),
@@ -157,16 +159,16 @@ struct HostileRig {
   HostileRig() {
     auto points = shape.generate();
     node = std::make_unique<net::AsyncNode>(
-        net::LiveNodeId{1}, shape.space_ptr(), hub.make_endpoint("node-1"),
+        kNode, shape.space_ptr(), hub.make_endpoint(kNode),
         points[0], cfg, /*seed=*/3);
     node->set_manual_drive([this] { return engine.clock(); });
     node->start();
-    attacker = hub.make_endpoint("attacker");
+    attacker = hub.make_endpoint(kAttacker);
     attacker->set_handler([](net::Message&) {});
   }
 
   void deliver(std::vector<std::uint8_t> frame) {
-    attacker->send(net::Address("node-1"), std::move(frame));
+    attacker->send(kNode, std::move(frame));
     engine.run_until(engine.now() +
                      std::chrono::duration_cast<engine::SimTime>(10ms));
   }
@@ -177,10 +179,10 @@ TEST(CappedViews, OversizedRpsFrameCannotGrowView) {
   // 50x the view cap of distinct peers in one frame.
   std::vector<net::WirePeer> peers;
   for (std::uint64_t i = 0; i < 50 * rig.cfg.rps_view; ++i)
-    peers.push_back({100 + i, "node-" + std::to_string(100 + i),
-                     static_cast<std::uint32_t>(i % 5)});
+    peers.push_back({100 + i, static_cast<std::uint32_t>(i % 5)});
   rig.deliver(net::encode_rps(
-      net::Header{net::MsgType::kRpsShuffleResp, 999, "attacker"}, peers));
+      net::Header{net::MsgType::kRpsShuffleResp, HostileRig::kAttacker},
+      peers));
   EXPECT_LE(rig.node->rps_view_size(), rig.cfg.rps_view);
   EXPECT_GT(rig.node->rps_view_size(), 0u);
 }
@@ -189,10 +191,9 @@ TEST(CappedViews, OversizedTmanFrameCannotGrowView) {
   HostileRig rig;
   std::vector<net::WireDescriptor> descs;
   for (std::uint64_t i = 0; i < 50 * rig.cfg.tman_view; ++i)
-    descs.push_back({200 + i, "node-" + std::to_string(200 + i),
-                     rig.shape.generate()[i % 16].pos, 1});
+    descs.push_back({200 + i, rig.shape.generate()[i % 16].pos, 1});
   rig.deliver(net::encode_tman(
-      net::Header{net::MsgType::kTmanResp, 999, "attacker"}, descs));
+      net::Header{net::MsgType::kTmanResp, HostileRig::kAttacker}, descs));
   EXPECT_LE(rig.node->tman_view_size(), rig.cfg.tman_view);
   EXPECT_GT(rig.node->tman_view_size(), 0u);
 }
@@ -202,10 +203,40 @@ TEST(CappedViews, DuplicateIdFloodIsIdempotent) {
   // The same id 500 times with rising versions: must occupy one slot.
   std::vector<net::WireDescriptor> descs;
   for (std::uint64_t i = 0; i < 500; ++i)
-    descs.push_back({777, "node-777", rig.shape.generate()[0].pos, i});
-  rig.deliver(net::encode_tman(
-      net::Header{net::MsgType::kTmanReq, 777, "node-777"}, descs));
+    descs.push_back({777, rig.shape.generate()[0].pos, i});
+  rig.deliver(
+      net::encode_tman(net::Header{net::MsgType::kTmanReq, 777}, descs));
   EXPECT_LE(rig.node->tman_view_size(), rig.cfg.tman_view);
+}
+
+// ---- exact arena footprint ---------------------------------------------------
+
+TEST(ArenaFootprint, DefaultFleetUsesExactlyCapsTimesEntrySizes) {
+  // Every byte a node carves from the arena is a view slot: caps from the
+  // config times the entry sizes, nothing else.  A field added to a view
+  // entry (or a new per-node table) shows up here as a diff, not as silent
+  // growth of the fleet's footprint.
+  const net::AsyncConfig cfg;  // what EventClusterConfig{} carries
+  const std::size_t per_node =
+      cfg.rps_view * sizeof(net::PeerHot) +                 // RPS view
+      net::tman_phys_cap(cfg) * sizeof(net::DescriptorHot) +  // T-Man view
+      cfg.replication * sizeof(net::PeerHot) +              // backups
+      (cfg.replication + 2) * sizeof(net::GhostTable::Slot);  // ghosts
+  // The fleet's one shared scratch: two T-Man staging lists, the backup
+  // staging list and the migration candidates.
+  const std::size_t scratch =
+      2 * net::tman_phys_cap(cfg) * sizeof(net::DescriptorHot) +
+      cfg.replication * sizeof(net::PeerHot) +
+      (cfg.psi + 1) * sizeof(net::LiveNodeId);
+  // Pin the default caps and entry sizes too, so a change to either is a
+  // deliberate edit here: 8 x 56 + 24 x 56 + 2 x 56 + 4 x 40 = 2,064 B.
+  EXPECT_EQ(per_node, 2064u);
+
+  shape::GridTorusShape shape(16, 16);
+  engine::EventCluster fleet(shape.space_ptr(), shape.generate(),
+                             engine::EventClusterConfig{}, /*seed=*/3);
+  EXPECT_EQ(fleet.memory_breakdown().arena_used,
+            scratch + fleet.size() * per_node);
 }
 
 // ---- arena stability under churn --------------------------------------------
@@ -235,7 +266,7 @@ TEST(ArenaStability, NoArenaGrowthInSteadyStateAfterChurn) {
 
 // A guest-less fleet (nodes joined without data points, as after a
 // catastrophe) exercises the full control plane — RPS shuffles, T-Man
-// exchanges, backup heartbeats, recovery scans, endpoint-cache sends —
+// exchanges, backup heartbeats, recovery scans, id-routed sends —
 // with an empty data plane, which is exactly the surface the arena
 // rewrite promises is allocation-free.  (The data plane — migration
 // splits, guest unions — allocates by design and is out of scope; see
@@ -261,17 +292,15 @@ void ExpectSteadyStateControlPlaneAllocatesNothing(std::chrono::nanoseconds lo,
   for (std::size_t i = 0; i < kNodes; ++i) {
     nodes.push_back(std::make_unique<net::AsyncNode>(
         static_cast<net::LiveNodeId>(i), shape.space_ptr(),
-        hub.make_endpoint("node-" + std::to_string(i)), std::nullopt, cfg,
+        hub.make_endpoint(i), std::nullopt, cfg,
         /*seed=*/1000 + i, &arena, &scratch));
     nodes.back()->set_manual_drive([&engine] { return engine.clock(); });
   }
   util::Rng boot(99);
   for (std::size_t i = 0; i < kNodes; ++i) {
-    std::vector<net::Seed> seeds;
+    std::vector<net::LiveNodeId> seeds;
     for (std::size_t j : boot.sample_indices(kNodes, cfg.rps_view))
-      if (j != i)
-        seeds.push_back(net::Seed{static_cast<net::LiveNodeId>(j),
-                                  nodes[j]->address()});
+      if (j != i) seeds.push_back(j);
     nodes[i]->bootstrap(seeds);
     nodes[i]->start();
   }

@@ -64,11 +64,11 @@ void expect_truncations_throw(const std::vector<std::uint8_t>& frame) {
   }
 }
 
-const Header kHeader{MsgType::kBackupPush, 42, "10.0.0.1:4242"};
-const std::vector<WirePeer> kPeers{{2, "addr-2", 3, Point(4.0, -1.0), 7},
-                                   {5, "addr-5", 0, Point(), 0}};
+const Header kHeader{MsgType::kBackupPush, 42};
+const std::vector<WirePeer> kPeers{{2, 3, Point(4.0, -1.0), 7},
+                                   {5, 0, Point(), 0}};
 const std::vector<WireDescriptor> kDescriptors{
-    {9, "addr-9", Point(1.5, 2.5), 12}, {10, "addr-10", Point(7.0), 1}};
+    {9, Point(1.5, 2.5), 12}, {10, Point(7.0), 1}};
 const std::vector<WirePoint> kPoints{{100, Point(1, 1)},
                                      {101, Point(2.5, -3.5)}};
 
@@ -100,7 +100,6 @@ TEST(Codec, HeaderRoundTrip) {
   const Header h = poly::net::decode_header(r);
   EXPECT_EQ(h.type, kHeader.type);
   EXPECT_EQ(h.sender, kHeader.sender);
-  EXPECT_EQ(h.sender_addr, kHeader.sender_addr);
   EXPECT_TRUE(r.done());
 }
 
@@ -112,7 +111,6 @@ TEST(Codec, PeersRoundTrip) {
   ASSERT_EQ(peers.size(), kPeers.size());
   for (std::size_t i = 0; i < peers.size(); ++i) {
     EXPECT_EQ(peers[i].id, kPeers[i].id);
-    EXPECT_EQ(peers[i].addr, kPeers[i].addr);
     EXPECT_EQ(peers[i].age, kPeers[i].age);
     EXPECT_EQ(peers[i].pos.dim, kPeers[i].pos.dim);
     EXPECT_EQ(peers[i].pos.c, kPeers[i].pos.c);
@@ -128,7 +126,6 @@ TEST(Codec, DescriptorsRoundTrip) {
   ASSERT_EQ(ds.size(), kDescriptors.size());
   for (std::size_t i = 0; i < ds.size(); ++i) {
     EXPECT_EQ(ds[i].id, kDescriptors[i].id);
-    EXPECT_EQ(ds[i].addr, kDescriptors[i].addr);
     EXPECT_EQ(ds[i].pos, kDescriptors[i].pos);
     EXPECT_EQ(ds[i].version, kDescriptors[i].version);
   }
@@ -158,7 +155,7 @@ TEST(Codec, PointRoundTripAllDimensions) {
 
 TEST(Codec, MigrateReqRoundTrip) {
   const auto frame = poly::net::encode_migrate_req(
-      Header{MsgType::kMigrateReq, 3, "me"}, Point(4.0, 5.0), kPoints);
+      Header{MsgType::kMigrateReq, 3}, Point(4.0, 5.0), kPoints);
   ByteReader r(frame);
   const Header h = poly::net::decode_header(r);
   EXPECT_EQ(h.type, MsgType::kMigrateReq);
@@ -170,7 +167,7 @@ TEST(Codec, MigrateReqRoundTrip) {
 TEST(Codec, MigrateRespRoundTrip) {
   for (const bool accepted : {true, false}) {
     const auto frame = poly::net::encode_migrate_resp(
-        Header{MsgType::kMigrateResp, 3, "me"}, accepted, kPoints);
+        Header{MsgType::kMigrateResp, 3}, accepted, kPoints);
     ByteReader r(frame);
     poly::net::decode_header(r);
     EXPECT_EQ(r.u8(), accepted ? 1 : 0);
@@ -181,20 +178,53 @@ TEST(Codec, MigrateRespRoundTrip) {
 
 TEST(Codec, PeekTypeMatchesHeader) {
   const auto frame = poly::net::encode_rps(
-      Header{MsgType::kRpsShuffleResp, 1, "a"}, kPeers);
+      Header{MsgType::kRpsShuffleResp, 1}, kPeers);
   EXPECT_EQ(poly::net::peek_type(frame), MsgType::kRpsShuffleResp);
+}
+
+// ---- frame sizes: id-only lists are fixed-size records ----------------------
+
+// Header: type (1) + sender id (8); list: count (4) + N fixed-size
+// entries.  An RPS entry is id (8) + age (4) + point (1 + 3 x 8) +
+// version (8); a T-Man entry the same without the age.  Pins that no
+// variable-length field (a transport name, say) is left in the lists.
+constexpr std::size_t kHeaderBytes = 1 + 8;
+constexpr std::size_t kCountBytes = 4;
+constexpr std::size_t kPointBytes = 1 + 3 * 8;
+constexpr std::size_t kPeerBytes = 8 + 4 + kPointBytes + 8;
+constexpr std::size_t kDescriptorBytes = 8 + kPointBytes + 8;
+
+TEST(CodecFrameSize, RpsAndTmanFramesAreHeaderPlusFixedEntries) {
+  for (std::size_t n : {0u, 1u, 4u, 8u}) {
+    std::vector<WirePeer> peers(n, WirePeer{7, 2, Point(1.0, 2.0), 3});
+    std::vector<WireDescriptor> descriptors(
+        n, WireDescriptor{7, Point(1.0, 2.0, 3.0), 3});
+    EXPECT_EQ(
+        poly::net::encode_rps(Header{MsgType::kRpsShuffleReq, 1}, peers).size(),
+        kHeaderBytes + kCountBytes + n * kPeerBytes)
+        << n << " peers";
+    EXPECT_EQ(poly::net::encode_tman(Header{MsgType::kTmanReq, 1}, descriptors)
+                  .size(),
+              kHeaderBytes + kCountBytes + n * kDescriptorBytes)
+        << n << " descriptors";
+  }
+  // Ids of any magnitude take the same 8 bytes.
+  EXPECT_EQ(poly::net::encode_rps(Header{MsgType::kRpsShuffleReq, ~0ull},
+                                  {WirePeer{~0ull, 0, Point(), 0}})
+                .size(),
+            kHeaderBytes + kCountBytes + kPeerBytes);
 }
 
 // ---- truncation: every strict prefix of every frame kind throws -------------
 
 TEST(CodecTruncation, RpsFrame) {
   expect_truncations_throw(
-      poly::net::encode_rps(Header{MsgType::kRpsShuffleReq, 1, "a"}, kPeers));
+      poly::net::encode_rps(Header{MsgType::kRpsShuffleReq, 1}, kPeers));
 }
 
 TEST(CodecTruncation, TmanFrame) {
   expect_truncations_throw(poly::net::encode_tman(
-      Header{MsgType::kTmanReq, 7, "addr"}, kDescriptors));
+      Header{MsgType::kTmanReq, 7}, kDescriptors));
 }
 
 TEST(CodecTruncation, BackupPushFrame) {
@@ -203,17 +233,17 @@ TEST(CodecTruncation, BackupPushFrame) {
 
 TEST(CodecTruncation, MigrateReqFrame) {
   expect_truncations_throw(poly::net::encode_migrate_req(
-      Header{MsgType::kMigrateReq, 3, "me"}, Point(4.0, 5.0), kPoints));
+      Header{MsgType::kMigrateReq, 3}, Point(4.0, 5.0), kPoints));
 }
 
 TEST(CodecTruncation, MigrateRespFrame) {
   expect_truncations_throw(poly::net::encode_migrate_resp(
-      Header{MsgType::kMigrateResp, 3, "me"}, true, kPoints));
+      Header{MsgType::kMigrateResp, 3}, true, kPoints));
 }
 
 TEST(CodecTruncation, EmptyListsStillRejectTruncation) {
   expect_truncations_throw(
-      poly::net::encode_rps(Header{MsgType::kRpsShuffleReq, 1, ""}, {}));
+      poly::net::encode_rps(Header{MsgType::kRpsShuffleReq, 1}, {}));
   expect_truncations_throw(poly::net::encode_backup_push(kHeader, {}));
 }
 
@@ -267,7 +297,6 @@ TEST(CodecCorruption, UnknownMessageTypeThrows) {
     ByteWriter w;
     w.u8(type);
     w.u64(1);
-    w.str("a");
     ByteReader r(w.data());
     EXPECT_THROW(poly::net::decode_header(r), CodecError);
     EXPECT_THROW(poly::net::peek_type(w.data()), CodecError);

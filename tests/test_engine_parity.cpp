@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -139,15 +140,14 @@ TEST(EngineTransport, DeliversWithLatency) {
   EventEngine engine(1);
   EngineHub hub(engine,
                 std::make_unique<poly::engine::FixedLatency>(SimTime{3ms}));
-  auto a = hub.make_endpoint("a");
-  auto b = hub.make_endpoint("b");
+  auto a = hub.make_endpoint(0);
+  auto b = hub.make_endpoint(1);
   std::vector<std::string> got;
   b->set_handler([&](poly::net::Message m) {
     EXPECT_EQ(engine.now(), SimTime{3ms});
     got.emplace_back(m.payload.begin(), m.payload.end());
-    EXPECT_EQ(m.from, "a");
   });
-  ASSERT_TRUE(a->send("b", {'h', 'i'}));
+  ASSERT_TRUE(a->send(1, {'h', 'i'}));
   engine.run();
   EXPECT_EQ(got, std::vector<std::string>{"hi"});
 }
@@ -155,23 +155,24 @@ TEST(EngineTransport, DeliversWithLatency) {
 TEST(EngineTransport, SendToUnknownOrShutdownFails) {
   EventEngine engine(1);
   EngineHub hub(engine);
-  auto a = hub.make_endpoint("a");
-  EXPECT_FALSE(a->send("nobody", {1}));
-  auto b = hub.make_endpoint("b");
+  auto a = hub.make_endpoint(0);
+  EXPECT_FALSE(a->send(99, {1}));  // never registered, beyond the table
+  EXPECT_THROW(hub.make_endpoint(0), std::invalid_argument);  // 0 is live
+  auto b = hub.make_endpoint(1);
   b->shutdown();
-  EXPECT_FALSE(a->send("b", {1}));
-  EXPECT_FALSE(hub.reachable("b"));
+  EXPECT_FALSE(a->send(1, {1}));
+  EXPECT_EQ(hub.frames_sent(), 0u);  // contact failures are not sends
 }
 
 TEST(EngineTransport, InFlightFrameToCrashedEndpointIsDiscarded) {
   EventEngine engine(1);
   EngineHub hub(engine,
                 std::make_unique<poly::engine::FixedLatency>(SimTime{5ms}));
-  auto a = hub.make_endpoint("a");
-  auto b = hub.make_endpoint("b");
+  auto a = hub.make_endpoint(0);
+  auto b = hub.make_endpoint(1);
   int delivered = 0;
   b->set_handler([&](poly::net::Message) { ++delivered; });
-  ASSERT_TRUE(a->send("b", {1}));  // accepted while b is alive
+  ASSERT_TRUE(a->send(1, {1}));  // accepted while b is alive
   b->shutdown();                   // crashes before delivery
   engine.run();
   EXPECT_EQ(delivered, 0);
@@ -182,12 +183,12 @@ TEST(EngineTransport, JitteredLatencyPreservesPerPairFifo) {
   EventEngine engine(7);
   EngineHub hub(engine, std::make_unique<UniformLatency>(SimTime{1ms},
                                                          SimTime{50ms}));
-  auto a = hub.make_endpoint("a");
-  auto b = hub.make_endpoint("b");
+  auto a = hub.make_endpoint(0);
+  auto b = hub.make_endpoint(1);
   std::vector<std::uint8_t> got;
   b->set_handler(
       [&](poly::net::Message m) { got.push_back(m.payload.at(0)); });
-  for (std::uint8_t i = 0; i < 50; ++i) ASSERT_TRUE(a->send("b", {i}));
+  for (std::uint8_t i = 0; i < 50; ++i) ASSERT_TRUE(a->send(1, {i}));
   engine.run();
   ASSERT_EQ(got.size(), 50u);
   for (std::uint8_t i = 0; i < 50; ++i) EXPECT_EQ(got[i], i);
@@ -213,10 +214,10 @@ TEST(EngineTransport, InterleavedSendersKeepPerPairFifo) {
   EventEngine engine(11);
   EngineHub hub(engine, std::make_unique<UniformLatency>(SimTime{1ms},
                                                          SimTime{50ms}));
-  auto d = hub.make_endpoint("d");
+  auto d = hub.make_endpoint(3);
   std::vector<std::unique_ptr<poly::engine::EngineTransport>> senders;
   for (int i = 0; i < 6; ++i)
-    senders.push_back(hub.make_endpoint("s" + std::to_string(i)));
+    senders.push_back(hub.make_endpoint(10 + i));
   std::vector<std::vector<std::uint8_t>> got;
   d->set_handler([&](poly::net::Message& m) { got.push_back(m.payload); });
   std::vector<std::size_t> sent(6, 0);
@@ -224,7 +225,7 @@ TEST(EngineTransport, InterleavedSendersKeepPerPairFifo) {
     for (std::uint8_t s = 0; s < 6; ++s) {
       if ((step + s) % 3 == 0) continue;  // staggered gaps per sender
       const auto seq = static_cast<std::uint8_t>(sent[s]++);
-      ASSERT_TRUE(senders[s]->send("d", {s, seq}));
+      ASSERT_TRUE(senders[s]->send(3, {s, seq}));
     }
     engine.run_until(engine.now() + SimTime{3ms});
   }
@@ -256,22 +257,22 @@ TEST(EngineTransport, SenderResumingAfterItsClampExpiredKeepsFifo) {
   EventEngine engine(1);
   EngineHub hub(engine, std::make_unique<ScriptedLatency>(std::vector<SimTime>{
                             10ms, 5ms, 500us, 5ms, 1ms}));
-  auto a = hub.make_endpoint("a");
-  auto c = hub.make_endpoint("c");
-  auto d = hub.make_endpoint("d");
+  auto a = hub.make_endpoint(0);
+  auto c = hub.make_endpoint(2);
+  auto d = hub.make_endpoint(3);
   std::vector<std::vector<std::uint8_t>> got;
   std::vector<SimTime> a_times;
   d->set_handler([&](poly::net::Message& m) {
     got.push_back(m.payload);
     if (m.payload[0] == 0) a_times.push_back(engine.now());
   });
-  ASSERT_TRUE(a->send("d", {0, 0}));  // due 10 ms
+  ASSERT_TRUE(a->send(3, {0, 0}));  // due 10 ms
   engine.run_until(SimTime{9ms});
-  ASSERT_TRUE(c->send("d", {1, 0}));  // due 14 ms
-  ASSERT_TRUE(a->send("d", {0, 1}));  // drawn 9.5 ms, clamped to 10 ms
+  ASSERT_TRUE(c->send(3, {1, 0}));  // due 14 ms
+  ASSERT_TRUE(a->send(3, {0, 1}));  // drawn 9.5 ms, clamped to 10 ms
   engine.run_until(SimTime{20ms});
-  ASSERT_TRUE(c->send("d", {1, 1}));  // due 25 ms
-  ASSERT_TRUE(a->send("d", {0, 2}));  // due 21 ms
+  ASSERT_TRUE(c->send(3, {1, 1}));  // due 25 ms
+  ASSERT_TRUE(a->send(3, {0, 2}));  // due 21 ms
   engine.run();
   ExpectPerSenderFifo(got, {3, 2});
   EXPECT_EQ(a_times, (std::vector<SimTime>{10ms, 10ms, 21ms}));
@@ -281,18 +282,18 @@ TEST(EngineTransport, ReregisteredDestinationGetsOnlyItsOwnFramesInOrder) {
   EventEngine engine(9);
   EngineHub hub(engine, std::make_unique<UniformLatency>(SimTime{1ms},
                                                          SimTime{50ms}));
-  auto a = hub.make_endpoint("a");
-  auto b = hub.make_endpoint("b");
+  auto a = hub.make_endpoint(0);
+  auto b = hub.make_endpoint(1);
   int old_delivered = 0;
   b->set_handler([&](poly::net::Message&) { ++old_delivered; });
-  for (std::uint8_t i = 0; i < 20; ++i) ASSERT_TRUE(a->send("b", {0, i}));
+  for (std::uint8_t i = 0; i < 20; ++i) ASSERT_TRUE(a->send(1, {0, i}));
   engine.run_until(SimTime{10ms});
   const int before_crash = old_delivered;
   b->shutdown();  // frames still in flight to the old b
-  b = hub.make_endpoint("b");
+  b = hub.make_endpoint(1);
   std::vector<std::vector<std::uint8_t>> got;
   b->set_handler([&](poly::net::Message& m) { got.push_back(m.payload); });
-  for (std::uint8_t i = 0; i < 20; ++i) ASSERT_TRUE(a->send("b", {0, i}));
+  for (std::uint8_t i = 0; i < 20; ++i) ASSERT_TRUE(a->send(1, {0, i}));
   engine.run();
   EXPECT_EQ(old_delivered, before_crash);
   ExpectPerSenderFifo(got, {20});
@@ -315,20 +316,18 @@ TEST(EngineTransport, ClampFootprintStaysBoundedByFramesInFlight) {
   EngineHub hub(engine, std::make_unique<UniformLatency>(SimTime{1ms},
                                                          SimTime{3ms}));
   std::vector<std::unique_ptr<poly::engine::EngineTransport>> eps;
-  std::vector<poly::net::EndpointId> ids;
   for (std::size_t i = 0; i < kEndpoints; ++i) {
-    eps.push_back(hub.make_endpoint("n" + std::to_string(i)));
+    eps.push_back(hub.make_endpoint(i));
     eps.back()->set_handler([](poly::net::Message& m) {
       std::vector<std::uint8_t> taken = std::move(m.payload);
     });
-    ids.push_back(eps.back()->endpoint_id());
   }
   poly::util::Rng rng(17);
   auto run_steps = [&](int steps) {
     for (int t = 0; t < steps; ++t) {
       const std::size_t offset = 1 + rng.index(kEndpoints - 1);
       for (std::size_t i = 0; i < kEndpoints; ++i)
-        ASSERT_TRUE(eps[i]->send(ids[(i + offset) % kEndpoints], {1}));
+        ASSERT_TRUE(eps[i]->send((i + offset) % kEndpoints, {1}));
       engine.run_until(engine.now() + SimTime{1ms});
     }
   };
@@ -346,17 +345,17 @@ TEST(EngineTransport, SameInstantFramesCoalesceAndKeepSendOrder) {
   EventEngine engine(1);
   EngineHub hub(engine,
                 std::make_unique<poly::engine::FixedLatency>(SimTime{2ms}));
-  auto d = hub.make_endpoint("d");
+  auto d = hub.make_endpoint(3);
   std::vector<std::unique_ptr<poly::engine::EngineTransport>> senders;
   for (int i = 0; i < 6; ++i)
-    senders.push_back(hub.make_endpoint("s" + std::to_string(i)));
+    senders.push_back(hub.make_endpoint(10 + i));
   std::vector<std::uint8_t> got;
   d->set_handler([&](poly::net::Message m) {
     EXPECT_EQ(engine.now(), SimTime{2ms});  // one instant for all six
     got.push_back(m.payload.at(0));
   });
   for (std::uint8_t i = 0; i < 6; ++i)
-    ASSERT_TRUE(senders[i]->send("d", {i}));
+    ASSERT_TRUE(senders[i]->send(3, {i}));
   engine.run();
   ASSERT_EQ(got.size(), 6u);
   for (std::uint8_t i = 0; i < 6; ++i) EXPECT_EQ(got[i], i);
@@ -371,14 +370,14 @@ TEST(EngineTransport, BatchWindowRoundsDeliveryUpToBoundary) {
                 std::make_unique<poly::engine::FixedLatency>(
                     SimTime{std::chrono::microseconds(2500)}),
                 /*batch_window=*/SimTime{1ms});
-  auto a = hub.make_endpoint("a");
-  auto b = hub.make_endpoint("b");
+  auto a = hub.make_endpoint(0);
+  auto b = hub.make_endpoint(1);
   int delivered = 0;
   b->set_handler([&](poly::net::Message) {
     ++delivered;
     EXPECT_EQ(engine.now(), SimTime{3ms});  // 2.5 ms rounded up to 3 ms
   });
-  ASSERT_TRUE(a->send("b", {1}));
+  ASSERT_TRUE(a->send(1, {1}));
   engine.run();
   EXPECT_EQ(delivered, 1);
 }
@@ -391,9 +390,9 @@ TEST(EngineTransport, ManyOpenInstantsOverflowTheInlineMarkers) {
   EventEngine engine(1);
   EngineHub hub(engine,
                 std::make_unique<poly::engine::FixedLatency>(SimTime{20ms}));
-  auto d = hub.make_endpoint("d");
-  auto s = hub.make_endpoint("s");
-  auto s2 = hub.make_endpoint("s2");
+  auto d = hub.make_endpoint(3);
+  auto s = hub.make_endpoint(4);
+  auto s2 = hub.make_endpoint(5);
   std::vector<std::uint8_t> got;
   d->set_handler(
       [&](poly::net::Message m) { got.push_back(m.payload.at(0)); });
@@ -401,8 +400,8 @@ TEST(EngineTransport, ManyOpenInstantsOverflowTheInlineMarkers) {
   // with a follower from a second sender.
   for (std::uint8_t i = 0; i < 6; ++i) {
     engine.schedule_at(SimTime{1ms} * i, [&, i] {
-      ASSERT_TRUE(s->send("d", {i}));
-      if (i == 5) ASSERT_TRUE(s2->send("d", {std::uint8_t{100}}));
+      ASSERT_TRUE(s->send(3, {i}));
+      if (i == 5) ASSERT_TRUE(s2->send(3, {std::uint8_t{100}}));
     });
   }
   engine.run();
@@ -416,11 +415,11 @@ TEST(EngineTransport, DropModelLosesFramesSilently) {
   EventEngine engine(3);
   EngineHub hub(engine, std::make_unique<UniformLatency>(
                             SimTime{1ms}, SimTime{1ms}, /*drop_rate=*/0.5));
-  auto a = hub.make_endpoint("a");
-  auto b = hub.make_endpoint("b");
+  auto a = hub.make_endpoint(0);
+  auto b = hub.make_endpoint(1);
   int delivered = 0;
   b->set_handler([&](poly::net::Message) { ++delivered; });
-  for (int i = 0; i < 200; ++i) ASSERT_TRUE(a->send("b", {1}));
+  for (int i = 0; i < 200; ++i) ASSERT_TRUE(a->send(1, {1}));
   engine.run();
   EXPECT_EQ(hub.frames_dropped() + hub.frames_delivered(), 200u);
   EXPECT_GT(hub.frames_dropped(), 50u);

@@ -161,8 +161,8 @@ TEST(CorruptionHardening, MalformedFramesAreCountedNotFatal) {
   poly::shape::RingShape shape(8, 1.0);
   auto points = shape.generate();
 
-  auto ep = hub.make_endpoint("victim");
-  auto attacker = hub.make_endpoint("attacker");
+  auto ep = hub.make_endpoint(0);
+  auto attacker = hub.make_endpoint(1);
   poly::net::AsyncNode victim(0, shape.space_ptr(), std::move(ep),
                               points.at(0), {}, /*seed=*/5);
   victim.set_manual_drive([&] { return engine.clock(); });
@@ -172,31 +172,94 @@ TEST(CorruptionHardening, MalformedFramesAreCountedNotFatal) {
   // flipped length prefix.  The valid frame must be handled (rejects stay
   // at the mutation count), the rest must all be rejected.
   const auto valid = poly::net::encode_rps(
-      poly::net::Header{poly::net::MsgType::kRpsShuffleResp, 1, "attacker"},
-      {{2, "addr-2", 3}});
+      poly::net::Header{poly::net::MsgType::kRpsShuffleResp, 1}, {{2, 3}});
   std::size_t expect_rejects = 0;
 
-  ASSERT_TRUE(attacker->send("victim", std::vector<std::uint8_t>(valid)));
+  ASSERT_TRUE(attacker->send(0, std::vector<std::uint8_t>(valid)));
 
   auto truncated = valid;
   truncated.resize(valid.size() / 2);
-  ASSERT_TRUE(attacker->send("victim", std::move(truncated)));
+  ASSERT_TRUE(attacker->send(0, std::move(truncated)));
   ++expect_rejects;
 
   auto mangled = valid;
   mangled[0] = 0xff;  // unknown message type
-  ASSERT_TRUE(attacker->send("victim", std::move(mangled)));
+  ASSERT_TRUE(attacker->send(0, std::move(mangled)));
   ++expect_rejects;
 
-  ASSERT_TRUE(attacker->send("victim", {0xff, 0x00, 0x01}));  // pure garbage
+  ASSERT_TRUE(attacker->send(0, {0xff, 0x00, 0x01}));  // pure garbage
   ++expect_rejects;
 
   ASSERT_TRUE(
-      attacker->send("victim", std::vector<std::uint8_t>{}));  // empty
+      attacker->send(0, std::vector<std::uint8_t>{}));  // empty
   ++expect_rejects;
 
   EXPECT_NO_THROW(engine.run());
   EXPECT_EQ(victim.frames_rejected(), expect_rejects);
+  victim.stop();
+}
+
+TEST(CorruptionHardening, IdsPastTheFleetAreContactFailures) {
+  // A corrupted frame that still decodes plants raw node ids, possibly far
+  // beyond the fleet.  Sending to such an id must fail like a send to a
+  // crashed peer (no out-of-range routing-table index), and a node that
+  // gossiped them in must purge them on first contact.
+  EventEngine engine(13);
+  EngineHub hub(engine);
+  poly::shape::RingShape shape(8, 1.0);
+  const auto points = shape.generate();
+  poly::net::AsyncNode victim(0, shape.space_ptr(), hub.make_endpoint(0),
+                              points.at(0), {}, /*seed=*/5);
+  victim.set_manual_drive([&] { return engine.clock(); });
+  victim.start();
+  auto attacker = hub.make_endpoint(1);
+  attacker->set_handler([](poly::net::Message&) {});
+
+  const std::vector<poly::net::LiveNodeId> bogus{2, 1000, 1ull << 40,
+                                                 ~0ull};
+  for (const poly::net::LiveNodeId id : bogus)
+    EXPECT_FALSE(attacker->send(id, {1})) << id;
+  EXPECT_EQ(hub.frames_sent(), 0u);
+
+  // Gossip every bogus id into both views, positioned right next to the
+  // victim so T-Man ranks them first.
+  std::vector<poly::net::WirePeer> peers;
+  std::vector<poly::net::WireDescriptor> descriptors;
+  for (const poly::net::LiveNodeId id : bogus) {
+    peers.push_back({id, 40, points.at(0).pos, 1});
+    descriptors.push_back({id, points.at(0).pos, 1});
+  }
+  ASSERT_TRUE(attacker->send(
+      0, poly::net::encode_rps(
+             poly::net::Header{poly::net::MsgType::kRpsShuffleResp, 1},
+             peers)));
+  ASSERT_TRUE(attacker->send(
+      0, poly::net::encode_tman(
+             poly::net::Header{poly::net::MsgType::kTmanResp, 1},
+             descriptors)));
+  engine.run();
+  auto bogus_in_view = [&] {
+    std::size_t n = 0;
+    victim.for_each_view_member(
+        [](void* ctx, poly::net::LiveNodeId id, const poly::space::Point&,
+           std::uint64_t) { *static_cast<std::size_t*>(ctx) += id >= 2; },
+        &n);
+    return n;
+  };
+  ASSERT_EQ(bogus_in_view(), bogus.size());
+  EXPECT_EQ(victim.rps_view_size(), bogus.size());
+
+  // Ticks contact them (T-Man target, RPS oldest, backups, migration):
+  // each send fails and purges the id.  Fewer ticks than tman_ttl, so
+  // aging cannot be what clears the view.
+  for (int t = 0; t < 30; ++t) {
+    EXPECT_NO_THROW(victim.drive_tick());
+    engine.run();
+  }
+  EXPECT_EQ(bogus_in_view(), 0u);
+  EXPECT_EQ(victim.rps_view_size(), 0u);
+  EXPECT_EQ(victim.backup_target_count(), 0u);
+  EXPECT_EQ(victim.frames_rejected(), 0u);
   victim.stop();
 }
 

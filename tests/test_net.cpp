@@ -21,6 +21,7 @@ namespace {
 
 using namespace std::chrono_literals;
 using poly::net::Address;
+using poly::net::AddressDirectory;
 using poly::net::AsyncConfig;
 using poly::net::Header;
 using poly::net::InProcHub;
@@ -97,33 +98,32 @@ std::vector<std::uint8_t> bytes_of(const std::string& s) {
 TEST(Messages, HeaderRoundTrip) {
   poly::util::ByteWriter w;
   poly::net::encode_header(
-      w, Header{MsgType::kTmanReq, 42, "127.0.0.1:9999"});
+      w, Header{MsgType::kTmanReq, 42});
   poly::util::ByteReader r(w.data());
   const Header h = poly::net::decode_header(r);
   EXPECT_EQ(h.type, MsgType::kTmanReq);
   EXPECT_EQ(h.sender, 42u);
-  EXPECT_EQ(h.sender_addr, "127.0.0.1:9999");
+  EXPECT_TRUE(r.done());
 }
 
 TEST(Messages, RpsRoundTrip) {
   const auto frame = poly::net::encode_rps(
-      Header{MsgType::kRpsShuffleReq, 1, "a"},
-      {{2, "addr-2", 3}, {5, "addr-5", 0}});
+      Header{MsgType::kRpsShuffleReq, 1},
+      {{2, 3}, {5, 0}});
   poly::util::ByteReader r(frame);
   const Header h = poly::net::decode_header(r);
   EXPECT_EQ(h.type, MsgType::kRpsShuffleReq);
   const auto peers = poly::net::decode_peers(r);
   ASSERT_EQ(peers.size(), 2u);
   EXPECT_EQ(peers[0].id, 2u);
-  EXPECT_EQ(peers[0].addr, "addr-2");
   EXPECT_EQ(peers[0].age, 3u);
   EXPECT_TRUE(r.done());
 }
 
 TEST(Messages, TmanRoundTrip) {
   const auto frame = poly::net::encode_tman(
-      Header{MsgType::kTmanResp, 7, "x"},
-      {{9, "addr-9", Point(1.5, 2.5), 12}});
+      Header{MsgType::kTmanResp, 7},
+      {{9, Point(1.5, 2.5), 12}});
   poly::util::ByteReader r(frame);
   poly::net::decode_header(r);
   const auto ds = poly::net::decode_descriptors(r);
@@ -135,7 +135,7 @@ TEST(Messages, TmanRoundTrip) {
 
 TEST(Messages, MigrateRoundTrip) {
   const auto frame = poly::net::encode_migrate_req(
-      Header{MsgType::kMigrateReq, 3, "me"}, Point(4.0, 5.0),
+      Header{MsgType::kMigrateReq, 3}, Point(4.0, 5.0),
       {{100, Point(1, 1)}, {101, Point(2, 2)}});
   poly::util::ByteReader r(frame);
   poly::net::decode_header(r);
@@ -147,7 +147,7 @@ TEST(Messages, MigrateRoundTrip) {
 
 TEST(Messages, MigrateRespRoundTrip) {
   const auto frame = poly::net::encode_migrate_resp(
-      Header{MsgType::kMigrateResp, 3, "me"}, true, {{7, Point(0, 1)}});
+      Header{MsgType::kMigrateResp, 3}, true, {{7, Point(0, 1)}});
   poly::util::ByteReader r(frame);
   poly::net::decode_header(r);
   EXPECT_EQ(r.u8(), 1);
@@ -161,7 +161,7 @@ TEST(Messages, MalformedFramesThrow) {
 
   // Corrupt length prefix must not allocate gigabytes.
   poly::util::ByteWriter w;
-  poly::net::encode_header(w, Header{MsgType::kBackupPush, 1, "a"});
+  poly::net::encode_header(w, Header{MsgType::kBackupPush, 1});
   w.u32(0xffffffffu);  // implausible point count
   poly::util::ByteReader r(w.data());
   poly::net::decode_header(r);
@@ -178,74 +178,89 @@ TEST(Messages, BadPointDimensionThrows) {
 
 // ---- InProcTransport ------------------------------------------------------------
 
-TEST(InProc, DeliversWithSenderAddress) {
-  auto hub = InProcHub::create();
-  auto a = hub->make_endpoint("a");
-  auto b = hub->make_endpoint("b");
+/// An InProc network: endpoint i is registered as "n<i>" and routed as
+/// node id i through the shared directory.
+struct InProcNet {
+  std::shared_ptr<InProcHub> hub = InProcHub::create();
+  std::shared_ptr<AddressDirectory> dir = std::make_shared<AddressDirectory>();
+
+  std::unique_ptr<poly::net::InProcTransport> endpoint(std::size_t id) {
+    const Address addr = "n" + std::to_string(id);
+    dir->set(id, addr);
+    return hub->make_endpoint(addr, dir);
+  }
+};
+
+TEST(InProc, DeliversToNodeId) {
+  InProcNet net;
+  auto a = net.endpoint(0);
+  auto b = net.endpoint(1);
   Collector got;
   b->set_handler(got.handler());
-  ASSERT_TRUE(a->send("b", bytes_of("hello")));
+  ASSERT_TRUE(a->send(1, bytes_of("hello")));
   ASSERT_TRUE(got.wait_for_count(1));
-  EXPECT_EQ(got.messages[0].from, "a");
   EXPECT_EQ(got.messages[0].payload, bytes_of("hello"));
 }
 
 TEST(InProc, PreservesOrderPerSender) {
-  auto hub = InProcHub::create();
-  auto a = hub->make_endpoint("a");
-  auto b = hub->make_endpoint("b");
+  InProcNet net;
+  auto a = net.endpoint(0);
+  auto b = net.endpoint(1);
   Collector got;
   b->set_handler(got.handler());
   for (int i = 0; i < 100; ++i)
-    ASSERT_TRUE(a->send("b", bytes_of(std::to_string(i))));
+    ASSERT_TRUE(a->send(1, bytes_of(std::to_string(i))));
   ASSERT_TRUE(got.wait_for_count(100));
   for (int i = 0; i < 100; ++i)
     EXPECT_EQ(got.messages[i].payload, bytes_of(std::to_string(i)));
 }
 
-TEST(InProc, SendToUnknownAddressFails) {
-  auto hub = InProcHub::create();
-  auto a = hub->make_endpoint("a");
-  EXPECT_FALSE(a->send("nobody", bytes_of("x")));
+TEST(InProc, SendToUnknownIdFails) {
+  InProcNet net;
+  auto a = net.endpoint(0);
+  EXPECT_FALSE(a->send(7, bytes_of("x")));      // beyond the directory
+  EXPECT_FALSE(a->send(~0ull, bytes_of("x")));  // far beyond it
+  net.dir->set(3, "nobody");                    // listed, never registered
+  EXPECT_FALSE(a->send(3, bytes_of("x")));
+  EXPECT_FALSE(a->send(2, bytes_of("x")));      // a hole in the table
 }
 
 TEST(InProc, SendAfterShutdownFails) {
-  auto hub = InProcHub::create();
-  auto a = hub->make_endpoint("a");
-  auto b = hub->make_endpoint("b");
+  InProcNet net;
+  auto a = net.endpoint(0);
+  auto b = net.endpoint(1);
   b->shutdown();
-  EXPECT_FALSE(a->send("b", bytes_of("x")));
-  EXPECT_FALSE(hub->reachable("b"));
+  EXPECT_FALSE(a->send(1, bytes_of("x")));
+  EXPECT_FALSE(net.hub->reachable("n1"));
 }
 
 TEST(InProc, DuplicateAddressThrows) {
-  auto hub = InProcHub::create();
-  auto a = hub->make_endpoint("a");
-  EXPECT_THROW(hub->make_endpoint("a"), std::invalid_argument);
+  InProcNet net;
+  auto a = net.endpoint(0);
+  EXPECT_THROW(net.hub->make_endpoint("n0", net.dir), std::invalid_argument);
 }
 
 TEST(InProc, LoopbackDelivery) {
-  auto hub = InProcHub::create();
-  auto a = hub->make_endpoint("a");
+  InProcNet net;
+  auto a = net.endpoint(0);
   Collector got;
   a->set_handler(got.handler());
-  ASSERT_TRUE(a->send("a", bytes_of("self")));
+  ASSERT_TRUE(a->send(0, bytes_of("self")));
   ASSERT_TRUE(got.wait_for_count(1));
-  EXPECT_EQ(got.messages[0].from, "a");
+  EXPECT_EQ(got.messages[0].payload, bytes_of("self"));
 }
 
 TEST(InProc, ConcurrentSendersAllDelivered) {
-  auto hub = InProcHub::create();
-  auto target = hub->make_endpoint("target");
+  InProcNet net;
+  auto target = net.endpoint(0);
   Collector got;
   target->set_handler(got.handler());
   std::vector<std::unique_ptr<poly::net::InProcTransport>> senders;
-  for (int i = 0; i < 8; ++i)
-    senders.push_back(hub->make_endpoint("s" + std::to_string(i)));
+  for (std::size_t i = 1; i <= 8; ++i) senders.push_back(net.endpoint(i));
   std::vector<std::thread> threads;
   for (auto& s : senders)
     threads.emplace_back([&s] {
-      for (int i = 0; i < 50; ++i) s->send("target", bytes_of("m"));
+      for (int i = 0; i < 50; ++i) s->send(0, bytes_of("m"));
     });
   for (auto& t : threads) t.join();
   EXPECT_TRUE(got.wait_for_count(400));
@@ -253,67 +268,78 @@ TEST(InProc, ConcurrentSendersAllDelivered) {
 
 // ---- TcpTransport ------------------------------------------------------------------
 
+/// Two TCP endpoints routed as node ids 0 (a) and 1 (b).
+struct TcpPair {
+  std::shared_ptr<AddressDirectory> dir = std::make_shared<AddressDirectory>();
+  TcpTransport a{dir};
+  TcpTransport b{dir};
+  TcpPair() {
+    dir->set(0, a.address());
+    dir->set(1, b.address());
+  }
+};
+
 TEST(Tcp, RoundTripOverLocalhost) {
-  TcpTransport a;
-  TcpTransport b;
+  TcpPair net;
   Collector got;
-  b.set_handler(got.handler());
-  ASSERT_TRUE(a.send(b.address(), bytes_of("over tcp")));
+  net.b.set_handler(got.handler());
+  ASSERT_TRUE(net.a.send(1, bytes_of("over tcp")));
   ASSERT_TRUE(got.wait_for_count(1));
-  EXPECT_EQ(got.messages[0].from, a.address());
   EXPECT_EQ(got.messages[0].payload, bytes_of("over tcp"));
 }
 
 TEST(Tcp, OrderPreservedOnOneConnection) {
-  TcpTransport a;
-  TcpTransport b;
+  TcpPair net;
   Collector got;
-  b.set_handler(got.handler());
+  net.b.set_handler(got.handler());
   for (int i = 0; i < 200; ++i)
-    ASSERT_TRUE(a.send(b.address(), bytes_of(std::to_string(i))));
+    ASSERT_TRUE(net.a.send(1, bytes_of(std::to_string(i))));
   ASSERT_TRUE(got.wait_for_count(200));
   for (int i = 0; i < 200; ++i)
     EXPECT_EQ(got.messages[i].payload, bytes_of(std::to_string(i)));
 }
 
 TEST(Tcp, BidirectionalTraffic) {
-  TcpTransport a;
-  TcpTransport b;
+  TcpPair net;
   Collector got_a;
   Collector got_b;
-  a.set_handler(got_a.handler());
-  b.set_handler(got_b.handler());
-  ASSERT_TRUE(a.send(b.address(), bytes_of("ping")));
+  net.a.set_handler(got_a.handler());
+  net.b.set_handler(got_b.handler());
+  ASSERT_TRUE(net.a.send(1, bytes_of("ping")));
   ASSERT_TRUE(got_b.wait_for_count(1));
-  ASSERT_TRUE(b.send(got_b.messages[0].from, bytes_of("pong")));
+  ASSERT_TRUE(net.b.send(0, bytes_of("pong")));
   ASSERT_TRUE(got_a.wait_for_count(1));
   EXPECT_EQ(got_a.messages[0].payload, bytes_of("pong"));
 }
 
 TEST(Tcp, SendToClosedEndpointFails) {
-  TcpTransport a;
-  Address dead;
+  auto dir = std::make_shared<AddressDirectory>();
+  TcpTransport a(dir);
   {
-    TcpTransport b;
-    dead = b.address();
+    TcpTransport b(dir);
+    dir->set(1, b.address());
     b.shutdown();
   }
-  EXPECT_FALSE(a.send(dead, bytes_of("x")));
+  EXPECT_FALSE(a.send(1, bytes_of("x")));
 }
 
-TEST(Tcp, SendToGarbageAddressFails) {
-  TcpTransport a;
-  EXPECT_FALSE(a.send("not-an-address", bytes_of("x")));
-  EXPECT_FALSE(a.send("127.0.0.1:0", bytes_of("x")));
+TEST(Tcp, SendToGarbageOrUnknownIdFails) {
+  auto dir = std::make_shared<AddressDirectory>();
+  TcpTransport a(dir);
+  dir->set(1, "not-an-address");
+  dir->set(2, "127.0.0.1:0");
+  EXPECT_FALSE(a.send(1, bytes_of("x")));
+  EXPECT_FALSE(a.send(2, bytes_of("x")));
+  EXPECT_FALSE(a.send(3, bytes_of("x")));      // beyond the directory
+  EXPECT_FALSE(a.send(~0ull, bytes_of("x")));  // far beyond it
 }
 
 TEST(Tcp, LargePayload) {
-  TcpTransport a;
-  TcpTransport b;
+  TcpPair net;
   Collector got;
-  b.set_handler(got.handler());
+  net.b.set_handler(got.handler());
   std::vector<std::uint8_t> big(1 << 20, 0xab);  // 1 MiB
-  ASSERT_TRUE(a.send(b.address(), big));
+  ASSERT_TRUE(net.a.send(1, big));
   ASSERT_TRUE(got.wait_for_count(1));
   EXPECT_EQ(got.messages[0].payload.size(), big.size());
 }

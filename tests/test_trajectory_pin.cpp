@@ -140,15 +140,15 @@ TEST(TrajectoryPin, ChaosPartitionStallRecover) {
   } else {
     // stall_rounds < 8*4: crash_random lands on some stalled nodes, and a
     // crashed node's frozen ticks stop counting.
-    EXPECT_EQ(fc.frames_blackholed, 2012ull);
-    EXPECT_EQ(fc.frames_corrupted, 1096ull);
+    EXPECT_EQ(fc.frames_blackholed, 1997ull);
+    EXPECT_EQ(fc.frames_corrupted, 1104ull);
     EXPECT_EQ(fc.stall_rounds, 20ull);
     EXPECT_EQ(fc.recoveries, 10ull);
-    EXPECT_EQ(fleet.frames_rejected(), 351ull);
+    EXPECT_EQ(fleet.frames_rejected(), 215ull);
   }
   expect_traj(measure(fleet),
-              Trajectory{"0.98958333333333337", "0.16056716850191713",
-                         "0.97633447770103177", 31060, 38359},
+              Trajectory{"0.95833333333333337", "0.22060459562165868",
+                         "0.92678129243323715", 31193, 38625},
               "chaos/partition+stall+recover");
 }
 
@@ -196,14 +196,15 @@ TEST(TrajectoryPin, TrafficThroughCrashAndRecovery) {
     EXPECT_EQ(t.launched, 1104ull);
     EXPECT_EQ(t.completed, 1040ull);
     EXPECT_EQ(t.failed, 64ull);
-    EXPECT_EQ(t.hops_total, 1748ull);
+    EXPECT_EQ(t.hops_total, 1723ull);
     EXPECT_EQ(g17(t.latency.quantile_ms(0.5)), "2.0316149999999999");
     EXPECT_EQ(g17(t.latency.quantile_ms(0.99)), "16.252927");
   }
   EXPECT_EQ(t.launched, t.completed + t.failed);
   EXPECT_EQ(fleet.traffic_inflight(), 0u);
   expect_traj(measure(fleet),
-              Trajectory{"1", "0.15625", "0.95981391274719796", 37885, 41207},
+              Trajectory{"1", "0.14583333333333334", "0.95855015916845154",
+                         37942, 41357},
               "traffic/crash+recover");
 }
 
